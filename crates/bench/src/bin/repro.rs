@@ -45,6 +45,72 @@ struct Ctx {
     threads: usize,
     main_corpus: Option<Vec<CallRecord>>,
     eval_corpus: Option<Vec<EvalRun>>,
+    /// Process exit code: experiments with a pass/fail verdict
+    /// (resilience's no-amplification rows) raise it; the worst wins.
+    exit_code: i32,
+}
+
+/// Which batch an experiment belongs to: `all` (and an empty request)
+/// runs the paper's tables and figures, `extensions` the experiments
+/// beyond the paper.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Group {
+    Paper,
+    Extension,
+}
+
+/// One experiment: its command-line name, its group, and its entry point.
+type Experiment = (&'static str, Group, fn(&mut Ctx));
+
+/// Every experiment `repro` can run, in the order `all`/`extensions`
+/// expand to.
+const EXPERIMENTS: &[Experiment] = &[
+    ("fig1", Group::Paper, fig1),
+    ("table1", Group::Paper, table1),
+    ("table2", Group::Paper, table2),
+    ("fig2a", Group::Paper, |ctx| {
+        let arms = [
+            (Strategy::CrossLink, "Cross-Link"),
+            (Strategy::Stronger, "Stronger"),
+            (Strategy::Better, "Better"),
+        ];
+        fig2(ctx, "fig2a", &arms)
+    }),
+    ("fig2b", Group::Paper, |ctx| {
+        fig2(ctx, "fig2b", &[(Strategy::CrossLink, "Cross-Link"), (Strategy::Divert, "Divert")])
+    }),
+    ("fig2c", Group::Paper, |ctx| {
+        let arms = [
+            (Strategy::CrossLink, "Cross-Link"),
+            (Strategy::Temporal100, "Temporal (100ms)"),
+            (Strategy::Temporal0, "Temporal (0ms)"),
+            (Strategy::Stronger, "Baseline"),
+        ];
+        fig2(ctx, "fig2c", &arms)
+    }),
+    ("fig2d", Group::Paper, fig2d),
+    ("fig2e", Group::Paper, fig2e),
+    ("fig3", Group::Paper, fig3),
+    ("fig4", Group::Paper, fig4),
+    ("fig5", Group::Paper, fig5),
+    ("fig6", Group::Paper, fig6),
+    ("fig8", Group::Paper, fig8),
+    ("fig9", Group::Paper, fig9),
+    ("fig10", Group::Paper, fig10),
+    ("overhead", Group::Paper, overhead),
+    ("table3", Group::Paper, table3),
+    ("mbox-scale", Group::Paper, mbox_scale),
+    ("ablations", Group::Extension, ablations),
+    ("fec", Group::Extension, fec),
+    ("crosstech", Group::Extension, crosstech),
+    ("uplink", Group::Extension, uplink),
+    ("multiclient", Group::Extension, multiclient),
+    ("resilience", Group::Extension, resilience),
+];
+
+/// The names of one group's experiments, in table order.
+fn group(g: Group) -> impl Iterator<Item = String> {
+    EXPERIMENTS.iter().filter(move |e| e.1 == g).map(|e| e.0.to_string())
 }
 
 impl Ctx {
@@ -99,9 +165,16 @@ fn main() {
                 return;
             }
             "--bench-compare" => {
-                let fresh = args.next().expect("--bench-compare FRESH.json [BASELINE.json...]");
+                let Some(fresh) = args.next() else {
+                    eprintln!("usage: --bench-compare FRESH.json [BASELINE.json...]");
+                    std::process::exit(2);
+                };
                 let baselines: Vec<String> = args.collect();
-                std::process::exit(bench_compare(&fresh, &baselines));
+                let code = bench_compare(&fresh, &baselines).unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    2
+                });
+                std::process::exit(code);
             }
             "--campaign" => {
                 campaign_path = Some(args.next().expect("--campaign SCENARIO.{json,toml}"));
@@ -140,9 +213,11 @@ fn main() {
                     "telemetry: compiled {}",
                     if diversifi_simcore::telemetry::TRACE_COMPILED { "in" } else { "out" }
                 );
+                // The flight recorder's captures replay calls through the
+                // telemetry layer, so it is compiled in exactly when tracing is.
                 println!(
                     "flight recorder: compiled {}",
-                    if diversifi_simcore::FLIGHT_COMPILED { "in" } else { "out" }
+                    if diversifi_simcore::telemetry::TRACE_COMPILED { "in" } else { "out" }
                 );
                 return;
             }
@@ -157,9 +232,7 @@ fn main() {
                      [--chaos SCENARIO.{{json,toml}}] [--chaos-plans N] \
                      [--chaos-corpus DIR] [--chaos-canary] \
                      [--resilience] [EXPERIMENT...]\n\
-                     experiments: table1 table2 table3 fig1 fig2a fig2b fig2c fig2d \
-                     fig2e fig3 fig4 fig5 fig6 fig8 fig9 fig10 overhead mbox-scale all \
-                     ablations fec crosstech uplink multiclient resilience\n\
+                     experiments: {} (or all, extensions)\n\
                      --campaign runs a declarative scenario file's fleet campaign \
                      (sharded, checkpointable) and writes a JSON report plus a \
                      campaign-health JSONL time series under --out;\n\
@@ -179,7 +252,8 @@ fn main() {
                      --chaos-corpus DIR replays every committed reproducer in \
                      DIR first, then writes newly shrunk reproducers there;\n\
                      --chaos-canary plants a synthetic violation to prove the \
-                     fuzzer finds and shrinks it (exits non-zero if it does NOT)."
+                     fuzzer finds and shrinks it (exits non-zero if it does NOT).",
+                    EXPERIMENTS.iter().map(|e| e.0).collect::<Vec<_>>().join(" ")
                 );
                 return;
             }
@@ -216,15 +290,9 @@ fn main() {
     // With only telemetry flags given, run just the capture scenario.
     let telemetry_only =
         wanted.is_empty() && (trace_out.is_some() || metrics_out.is_some());
-    const STANDARD: [&str; 18] = [
-        "fig1", "table1", "table2", "fig2a", "fig2b", "fig2c", "fig2d", "fig2e", "fig3",
-        "fig4", "fig5", "fig6", "fig8", "fig9", "fig10", "overhead", "table3", "mbox-scale",
-    ];
-    const EXTENSIONS: [&str; 6] =
-        ["ablations", "fec", "crosstech", "uplink", "multiclient", "resilience"];
     if wanted.is_empty() {
         if !telemetry_only {
-            wanted = STANDARD.iter().map(|s| s.to_string()).collect();
+            wanted = group(Group::Paper).collect();
         }
     } else {
         // "all" expands in place to the paper's tables/figures;
@@ -232,57 +300,48 @@ fn main() {
         let mut expanded = Vec::new();
         for w in wanted {
             match w.as_str() {
-                "all" => expanded.extend(STANDARD.iter().map(|s| s.to_string())),
-                "extensions" => expanded.extend(EXTENSIONS.iter().map(|s| s.to_string())),
+                "all" => expanded.extend(group(Group::Paper)),
+                "extensions" => expanded.extend(group(Group::Extension)),
                 _ => expanded.push(w),
             }
         }
         expanded.dedup();
         wanted = expanded;
     }
+    // Resolve every name before anything runs: a typo must not cost the
+    // experiments queued ahead of it.
+    let mut runs = Vec::new();
+    for name in &wanted {
+        match EXPERIMENTS.iter().find(|e| e.0 == name) {
+            Some(&(_, _, run)) => runs.push((name, run)),
+            None => {
+                eprintln!("unknown experiment: {name}");
+                std::process::exit(2);
+            }
+        }
+    }
 
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(16);
-    let mut ctx = Ctx { scale, seed, out_dir, threads, main_corpus: None, eval_corpus: None };
+    let mut ctx = Ctx {
+        scale,
+        seed,
+        out_dir,
+        threads,
+        main_corpus: None,
+        eval_corpus: None,
+        exit_code: 0,
+    };
 
     if trace_out.is_some() || metrics_out.is_some() {
         telemetry_capture(&ctx, trace_out.as_deref(), metrics_out.as_deref());
     }
 
-    // Experiments with a pass/fail verdict (resilience's no-amplification
-    // rows) raise the exit code; the worst verdict wins.
-    let mut exit_code = 0;
-    for exp in wanted {
-        println!("\n================ {exp} ================");
-        match exp.as_str() {
-            "table1" => table1(&mut ctx),
-            "table2" => table2(&mut ctx),
-            "table3" => table3(&mut ctx),
-            "fig1" => fig1(&mut ctx),
-            "fig2a" => fig2(&mut ctx, "fig2a", &[(Strategy::CrossLink, "Cross-Link"), (Strategy::Stronger, "Stronger"), (Strategy::Better, "Better")]),
-            "fig2b" => fig2(&mut ctx, "fig2b", &[(Strategy::CrossLink, "Cross-Link"), (Strategy::Divert, "Divert")]),
-            "fig2c" => fig2(&mut ctx, "fig2c", &[(Strategy::CrossLink, "Cross-Link"), (Strategy::Temporal100, "Temporal (100ms)"), (Strategy::Temporal0, "Temporal (0ms)"), (Strategy::Stronger, "Baseline")]),
-            "fig2d" => fig2d(&mut ctx),
-            "fig2e" => fig2e(&mut ctx),
-            "fig3" => fig3(&mut ctx),
-            "fig4" => fig4(&mut ctx),
-            "fig5" => fig5(&mut ctx),
-            "fig6" => fig6(&mut ctx),
-            "fig8" => fig8(&mut ctx),
-            "fig9" => fig9(&mut ctx),
-            "fig10" => fig10(&mut ctx),
-            "overhead" => overhead(&mut ctx),
-            "mbox-scale" => mbox_scale(&mut ctx),
-            "ablations" => ablations(&mut ctx),
-            "fec" => fec(&mut ctx),
-            "crosstech" => crosstech(&mut ctx),
-            "uplink" => uplink(&mut ctx),
-            "multiclient" => multiclient(&mut ctx),
-            "resilience" => exit_code = exit_code.max(resilience(&mut ctx)),
-            other => eprintln!("unknown experiment: {other}"),
-        }
+    for (name, run) in runs {
+        println!("\n================ {name} ================");
+        run(&mut ctx);
     }
-    if exit_code != 0 {
-        std::process::exit(exit_code);
+    if ctx.exit_code != 0 {
+        std::process::exit(ctx.exit_code);
     }
 }
 
@@ -307,49 +366,50 @@ const BENCH_REGRESSION_FRAC: f64 = 0.25;
 /// Missing tags on either side are a hard error. Genuinely new
 /// benchmark names (no baseline under any tag) are reported but never
 /// fail. Returns the process exit code: 1 on any regression beyond
-/// [`BENCH_REGRESSION_FRAC`] or any tag mismatch, 0 otherwise.
-fn bench_compare(fresh_path: &str, baseline_paths: &[String]) -> i32 {
-    fn load(path: &str) -> Vec<(String, String, f64)> {
+/// [`BENCH_REGRESSION_FRAC`] or any tag mismatch, 0 otherwise; an input
+/// that cannot be read or parsed is an error (the caller exits 2).
+fn bench_compare(fresh_path: &str, baseline_paths: &[String]) -> Result<i32, String> {
+    fn load(path: &str) -> Result<Vec<(String, String, f64)>, String> {
         let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("bench-compare: cannot read {path}: {e}"));
+            .map_err(|e| format!("bench-compare: cannot read {path}: {e}"))?;
         text.lines()
             .filter(|l| !l.trim().is_empty())
             .map(|l| {
                 let v: serde_json::Value = serde_json::from_str(l)
-                    .unwrap_or_else(|e| panic!("bench-compare: bad JSON line in {path}: {e}"));
+                    .map_err(|e| format!("bench-compare: bad JSON line in {path}: {e}"))?;
                 let name = v
                     .get("name")
                     .and_then(|n| n.as_str())
-                    .expect("bench line missing name")
+                    .ok_or_else(|| format!("bench-compare: bench line missing name in {path}"))?
                     .to_string();
-                let build = v
-                    .get("build")
-                    .and_then(|b| b.as_str())
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "bench-compare: line for {name:?} in {path} carries no \"build\" \
-                             tag; re-run the benches with the current harness (or re-record \
-                             the baseline) — untagged numbers cannot be compared safely"
-                        )
-                    })
-                    .to_string();
-                let lo =
-                    v.get("lo_ns").and_then(|n| n.as_f64()).expect("bench line missing lo_ns");
-                (build, name, lo)
+                let build = v.get("build").and_then(|b| b.as_str()).ok_or_else(|| {
+                    format!(
+                        "bench-compare: line for {name:?} in {path} carries no \"build\" \
+                         tag; re-run the benches with the current harness (or re-record \
+                         the baseline) — untagged numbers cannot be compared safely"
+                    )
+                })?;
+                let lo = v.get("lo_ns").and_then(|n| n.as_f64()).ok_or_else(|| {
+                    format!("bench-compare: bench line for {name:?} in {path} missing lo_ns")
+                })?;
+                Ok((build.to_string(), name, lo))
             })
             .collect()
     }
 
+    let fresh = load(fresh_path)?;
     // Default baselines: every committed BENCH_*.json in the working dir.
     let baseline_paths: Vec<String> = if baseline_paths.is_empty() {
         let mut found: Vec<String> = std::fs::read_dir(".")
-            .expect("bench-compare: cannot list working directory")
+            .map_err(|e| format!("bench-compare: cannot list working directory: {e}"))?
             .filter_map(|e| e.ok())
             .filter_map(|e| e.file_name().into_string().ok())
             .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
             .collect();
         found.sort();
-        assert!(!found.is_empty(), "bench-compare: no BENCH_*.json baselines found");
+        if found.is_empty() {
+            return Err("bench-compare: no BENCH_*.json baselines found".to_string());
+        }
         found
     } else {
         baseline_paths.to_vec()
@@ -358,7 +418,7 @@ fn bench_compare(fresh_path: &str, baseline_paths: &[String]) -> i32 {
     let mut baseline: std::collections::BTreeMap<(String, String), f64> =
         std::collections::BTreeMap::new();
     for path in &baseline_paths {
-        for (build, name, lo) in load(path) {
+        for (build, name, lo) in load(path)? {
             // Duplicate (build, name) across baseline files: slowest wins,
             // so re-recorded baselines stay conservative.
             let slot = baseline.entry((build, name)).or_insert(lo);
@@ -372,7 +432,7 @@ fn bench_compare(fresh_path: &str, baseline_paths: &[String]) -> i32 {
         "{:<44} {:<14} {:>12} {:>12} {:>8}  verdict",
         "benchmark", "build", "base lo_ns", "fresh lo_ns", "ratio"
     );
-    for (build, name, fresh_lo) in load(fresh_path) {
+    for (build, name, fresh_lo) in fresh {
         match baseline.get(&(build.clone(), name.clone())) {
             Some(&base_lo) => {
                 let ratio = fresh_lo / base_lo;
@@ -425,11 +485,7 @@ fn bench_compare(fresh_path: &str, baseline_paths: &[String]) -> i32 {
             BENCH_REGRESSION_FRAC * 100.0
         );
     }
-    if regressions > 0 || mismatches > 0 {
-        1
-    } else {
-        0
-    }
+    Ok(if regressions > 0 || mismatches > 0 { 1 } else { 0 })
 }
 
 /// Load + parse a scenario file, reporting I/O and field-path parse
@@ -725,7 +781,7 @@ fn campaign_cli(
         if worst.is_empty() {
             println!("[forensics] nothing to capture: no calls fell below the poor trigger");
         } else {
-            if !diversifi_simcore::FLIGHT_COMPILED {
+            if !diversifi_simcore::telemetry::TRACE_COMPILED {
                 eprintln!(
                     "[forensics] warning: release build without the `trace` feature — \
                      captures will carry scores but empty event timelines; \
@@ -1622,7 +1678,7 @@ fn uplink(ctx: &mut Ctx) {
 }
 
 fn multiclient(ctx: &mut Ctx) {
-    use diversifi::multiworld::fleet_sweep;
+    use diversifi::evaluation::fleet_sweep;
     let mut spec = StreamSpec::voip();
     spec.duration = SimDuration::from_secs(ctx.scale.call_secs.min(60));
     let mut t = TextTable::new(&["Fleet size", "Mean loss baseline (%)", "Mean loss DiversiFi (%)", "Secondary air tx / client"]);
@@ -1656,7 +1712,7 @@ fn multiclient(ctx: &mut Ctx) {
 /// not.
 const AMPLIFICATION_GATE_PP: f64 = 2.0;
 
-fn resilience(ctx: &mut Ctx) -> i32 {
+fn resilience(ctx: &mut Ctx) {
     use diversifi::world::{World, WorldConfig};
     use diversifi_simcore::{FaultKind, FaultPlan, SimTime};
     use diversifi_voip::emodel::mos_from_stats;
@@ -2014,9 +2070,7 @@ fn resilience(ctx: &mut Ctx) -> i32 {
             "gate_failures": gate_failures,
         }),
     );
-    if gate_failures.is_empty() {
-        0
-    } else {
+    if !gate_failures.is_empty() {
         eprintln!(
             "[resilience] FAIL: {} no-amplification row(s) beyond the {AMPLIFICATION_GATE_PP}pp gate:",
             gate_failures.len()
@@ -2024,6 +2078,6 @@ fn resilience(ctx: &mut Ctx) -> i32 {
         for f in &gate_failures {
             eprintln!("[resilience]   {f}");
         }
-        1
+        ctx.exit_code = ctx.exit_code.max(1);
     }
 }

@@ -1,12 +1,13 @@
 //! The §6 single-NIC evaluation: the 61-run testbed corpus (Figs. 8–9,
 //! §6.3 overhead), the 26-run TCP coexistence experiment (Fig. 10), the
-//! Table 3 delay breakdown, and the §6.4 middlebox scalability sweep.
+//! Table 3 delay breakdown, the §6.4 middlebox scalability sweep, and the
+//! multi-client office fleet (everyone running DiversiFi at once).
 
 use crate::scenario::LinkQuality;
-use crate::world::{RunMode, RunReport, SwitchDelaySample, World, WorldConfig};
+use crate::world::{ExtraClient, RunMode, RunReport, SwitchDelaySample, World, WorldConfig};
 use diversifi_net::{Middlebox, MiddleboxConfig};
 use diversifi_simcore::{mean, RngStream, SeedFactory, SweepRunner, WorkerArena};
-use diversifi_voip::StreamTrace;
+use diversifi_voip::{StreamSpec, StreamTrace};
 use diversifi_wifi::{Channel, FlowId, GeParams, LinkConfig, RealizationCache};
 use serde::Serialize;
 
@@ -268,9 +269,69 @@ pub fn middlebox_scalability(loads: &[usize]) -> Vec<(usize, f64)> {
         .collect()
 }
 
+/// `n` clients spread over the office, sharing the two APs, all running
+/// customized-AP DiversiFi (or none, for the baseline). The first client
+/// is the configured one; the rest are [`WorldConfig::extra_clients`].
+pub fn office_fleet(
+    n: usize,
+    diversifi: bool,
+    spec: StreamSpec,
+    seeds: &SeedFactory,
+) -> WorldConfig {
+    let mut rng = seeds.stream("fleet-layout", 0);
+    let mut clients = (0..n).map(|_| {
+        let mut primary = LinkConfig::office(Channel::CH1, rng.range_f64(10.0, 24.0));
+        if rng.chance(0.25) {
+            primary.ge = GeParams::weak_link();
+        }
+        let mut secondary =
+            LinkConfig::office(Channel::CH11, primary.distance_m + rng.range_f64(4.0, 16.0));
+        if rng.chance(0.5) {
+            secondary.ge = GeParams::weak_link();
+        }
+        ExtraClient { primary, secondary, diversifi }
+    });
+    let first = clients.next().expect("a fleet has at least one client");
+    let mut cfg = WorldConfig::testbed(first.primary, first.secondary);
+    cfg.spec = spec;
+    cfg.mode = if diversifi { RunMode::DiversifiCustomAp } else { RunMode::PrimaryOnly };
+    cfg.extra_clients = clients.collect();
+    cfg
+}
+
+/// Paired baseline/DiversiFi fleet runs over several fleet sizes, executed
+/// on the shared [`SweepRunner`].
+///
+/// Each fleet size derives its own `SeedFactory` via `seed_for(n)`, and the
+/// two arms of a pair share that factory so they see the same office layout
+/// and channel realisations (A/B pairing). Every run is a pure function of
+/// its own factory, so the output is bit-identical at any worker count.
+/// Returns `(n, baseline, diversifi)` rows in `sizes` order.
+pub fn fleet_sweep(
+    sizes: &[usize],
+    spec: StreamSpec,
+    seed_for: impl Fn(usize) -> u64 + Sync,
+) -> Vec<(usize, RunReport, RunReport)> {
+    let reports = SweepRunner::available().run_indexed(sizes.len() * 2, |idx| {
+        let n = sizes[idx / 2];
+        let seeds = SeedFactory::new(seed_for(n));
+        World::new(&office_fleet(n, idx % 2 == 1, spec, &seeds), &seeds).run()
+    });
+    let mut it = reports.into_iter();
+    sizes
+        .iter()
+        .map(|&n| {
+            let base = it.next().expect("two reports per size");
+            let dvf = it.next().expect("two reports per size");
+            (n, base, dvf)
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use diversifi_simcore::SimDuration;
     use diversifi_voip::DEFAULT_DEADLINE;
 
     fn small_eval() -> Vec<EvalRun> {
@@ -327,6 +388,109 @@ mod tests {
         assert_eq!(ap.queuing_ms, 0.0);
         assert!(mb.queuing_ms > 0.5);
         assert!(mb.network_ms > ap.network_ms);
+    }
+
+    fn fleet_spec() -> StreamSpec {
+        StreamSpec {
+            packet_bytes: 160,
+            interval: SimDuration::from_millis(20),
+            duration: SimDuration::from_secs(if cfg!(debug_assertions) { 20 } else { 40 }),
+        }
+    }
+
+    fn fleet(n: usize, diversifi: bool, seeds: &SeedFactory) -> RunReport {
+        World::new(&office_fleet(n, diversifi, fleet_spec(), seeds), seeds).run()
+    }
+
+    #[test]
+    fn fleet_of_diversifi_clients_all_benefit() {
+        // One fleet pair at this scale (6 clients, short streams) is too
+        // noisy to bound a ratio, so aggregate over a block of seeds; the
+        // paper-scale halving claim is enforced in tests/paper_parity.rs.
+        let n = 6;
+        let mut base_sum = 0.0;
+        let mut dvf_sum = 0.0;
+        let mut recovered = 0u64;
+        for s in 0x3171u64..0x3176 {
+            let seeds = SeedFactory::new(s);
+            let base = fleet(n, false, &seeds);
+            let dvf = fleet(n, true, &seeds);
+            assert_eq!(base.client_traces().count(), n);
+            base_sum += base.mean_loss();
+            dvf_sum += dvf.mean_loss();
+            recovered += dvf.alg_stats.recovered_on_secondary
+                + dvf.extra_clients.iter().map(|c| c.alg_stats.recovered_on_secondary).sum::<u64>();
+        }
+        assert!(
+            dvf_sum < 0.5 * base_sum.max(0.01),
+            "fleet DiversiFi {dvf_sum} vs baseline {base_sum} (summed over 5 fleets)"
+        );
+        assert!(recovered > 0, "cross-link recovery never fired");
+    }
+
+    #[test]
+    fn contention_grows_but_does_not_collapse() {
+        // VoIP is light: even 12 clients fit easily in one AP's airtime;
+        // per-client loss must not explode with fleet size.
+        let seeds = SeedFactory::new(0x3172);
+        let small = fleet(2, true, &seeds);
+        let big = fleet(12, true, &seeds);
+        assert!(
+            big.mean_loss() < small.mean_loss() + 0.05,
+            "12 clients {} vs 2 clients {}",
+            big.mean_loss(),
+            small.mean_loss()
+        );
+    }
+
+    #[test]
+    fn secondary_air_overhead_scales_linearly_not_worse() {
+        // Total secondary-air transmissions should grow roughly with the
+        // number of clients (each contributes its own recoveries), not
+        // blow up super-linearly from interaction effects.
+        let seeds = SeedFactory::new(0x3173);
+        let per4 = fleet(4, true, &seeds).secondary_air_tx as f64 / 4.0;
+        let per8 = fleet(8, true, &seeds).secondary_air_tx as f64 / 8.0;
+        assert!(
+            per8 < per4 * 3.0 + 20.0,
+            "per-client secondary air grew too fast: {per4} → {per8}"
+        );
+    }
+
+    #[test]
+    fn fleet_run_is_deterministic() {
+        let seeds = SeedFactory::new(0x3174);
+        let a = fleet(3, true, &seeds);
+        let b = fleet(3, true, &seeds);
+        for (x, y) in a.client_traces().zip(b.client_traces()) {
+            assert_eq!(x.fates, y.fates);
+        }
+        assert_eq!(a.secondary_air_tx, b.secondary_air_tx);
+    }
+
+    #[test]
+    fn mixed_fleet_diversifi_does_not_hurt_bystanders() {
+        // Half the clients run DiversiFi, half don't; the non-DiversiFi
+        // clients' loss must be no worse than in an all-baseline fleet.
+        let seeds = SeedFactory::new(0x3175);
+        let all_base = fleet(6, false, &seeds);
+        let mut mixed_cfg = office_fleet(6, false, fleet_spec(), &seeds);
+        mixed_cfg.mode = RunMode::DiversifiCustomAp;
+        for c in mixed_cfg.extra_clients.iter_mut().take(2) {
+            c.diversifi = true;
+        }
+        let mixed = World::new(&mixed_cfg, &seeds).run();
+        let bystander_loss = |r: &RunReport| {
+            let loss: Vec<f64> =
+                r.client_traces().skip(3).map(|t| t.loss_rate(DEFAULT_DEADLINE)).collect();
+            mean(&loss)
+        };
+        let base_l = bystander_loss(&all_base);
+        let mixed_l = bystander_loss(&mixed);
+        assert!(
+            mixed_l < base_l + 0.02,
+            "bystanders worse off: {mixed_l} vs {base_l}"
+        );
     }
 
     #[test]

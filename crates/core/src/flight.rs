@@ -40,7 +40,7 @@ fn probe_seed(seed: u64, index: u64) -> u64 {
 /// the capture's `dropped` count (the exporters warn on it).
 ///
 /// In builds where tracing is compiled out
-/// ([`FLIGHT_COMPILED`](diversifi_simcore::FLIGHT_COMPILED) is false) the
+/// ([`TRACE_COMPILED`](diversifi_simcore::telemetry::TRACE_COMPILED) is false) the
 /// captures still carry the scores and call identities — only the event
 /// streams are empty.
 pub fn capture_worst_calls(scn: &Scenario, worst: &WorstK, ring: usize) -> Vec<FlightCapture> {
@@ -67,7 +67,8 @@ pub fn capture_worst_calls(scn: &Scenario, worst: &WorstK, ring: usize) -> Vec<F
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diversifi_simcore::{FlightKey, FLIGHT_COMPILED};
+    use diversifi_simcore::telemetry::TRACE_COMPILED;
+    use diversifi_simcore::FlightKey;
 
     fn selection() -> WorstK {
         let mut w = WorstK::new(2);
@@ -86,7 +87,7 @@ mod tests {
         assert_eq!(caps[2].label, "diversifi/call-001234");
         assert_eq!(caps[3].label, "primary-only/call-000099");
         assert!(caps.iter().all(|c| c.seed == 7));
-        if FLIGHT_COMPILED {
+        if TRACE_COMPILED {
             assert!(caps.iter().all(|c| !c.events.is_empty()), "traced runs emit events");
         }
     }
@@ -105,7 +106,7 @@ mod tests {
         }
         // Different calls explore different channel realisations: the two
         // captures must not be the same timeline (when tracing is live).
-        if FLIGHT_COMPILED {
+        if TRACE_COMPILED {
             assert_ne!(a[0].events, a[1].events);
         }
     }

@@ -63,7 +63,6 @@ pub mod corpus;
 pub mod crosstech;
 pub mod evaluation;
 pub mod flight;
-pub mod multiworld;
 pub mod nettest;
 pub mod population;
 pub mod report;
@@ -88,4 +87,4 @@ pub use corpus::{CallEnvironment, CorpusMix};
 pub use evaluation::{EvalOptions, EvalRun, OverheadSummary};
 pub use scenario::{ApSpec, Arm, LinkQuality, Scenario, Traffic, Venue};
 pub use twonic::{run_single, run_temporal, run_two_nic, TwoNicScenario};
-pub use world::{RunMode, RunReport, World, WorldConfig};
+pub use world::{ClientOutcome, ExtraClient, RunMode, RunReport, World, WorldConfig};

@@ -6,7 +6,6 @@
 //! 12-byte RTP fixed header and the static payload-type → profile table
 //! used at stream initialization.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use diversifi_simcore::SimDuration;
 use diversifi_voip::StreamSpec;
 use serde::{Deserialize, Serialize};
@@ -57,37 +56,33 @@ impl RtpHeader {
         RtpHeader { version: 2, marker: false, payload_type: 0, sequence, timestamp, ssrc }
     }
 
-    /// Serialise to wire format.
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(RTP_HEADER_LEN);
-        let b0 = (self.version & 0x3) << 6; // P=0, X=0, CC=0
-        b.put_u8(b0);
-        let b1 = ((self.marker as u8) << 7) | (self.payload_type & 0x7F);
-        b.put_u8(b1);
-        b.put_u16(self.sequence);
-        b.put_u32(self.timestamp);
-        b.put_u32(self.ssrc);
-        b.freeze()
+    /// Serialise to wire format (network byte order).
+    pub fn encode(&self) -> [u8; RTP_HEADER_LEN] {
+        let mut b = [0u8; RTP_HEADER_LEN];
+        b[0] = (self.version & 0x3) << 6; // P=0, X=0, CC=0
+        b[1] = ((self.marker as u8) << 7) | (self.payload_type & 0x7F);
+        b[2..4].copy_from_slice(&self.sequence.to_be_bytes());
+        b[4..8].copy_from_slice(&self.timestamp.to_be_bytes());
+        b[8..12].copy_from_slice(&self.ssrc.to_be_bytes());
+        b
     }
 
-    /// Parse from wire format.
-    pub fn decode(mut data: &[u8]) -> Result<RtpHeader, RtpError> {
-        if data.len() < RTP_HEADER_LEN {
+    /// Parse from wire format; bytes past the fixed header are ignored.
+    pub fn decode(data: &[u8]) -> Result<RtpHeader, RtpError> {
+        let Some(h) = data.get(..RTP_HEADER_LEN) else {
             return Err(RtpError::Truncated);
-        }
-        let b0 = data.get_u8();
-        let version = b0 >> 6;
+        };
+        let version = h[0] >> 6;
         if version != 2 {
             return Err(RtpError::BadVersion(version));
         }
-        let b1 = data.get_u8();
         Ok(RtpHeader {
             version,
-            marker: b1 & 0x80 != 0,
-            payload_type: b1 & 0x7F,
-            sequence: data.get_u16(),
-            timestamp: data.get_u32(),
-            ssrc: data.get_u32(),
+            marker: h[1] & 0x80 != 0,
+            payload_type: h[1] & 0x7F,
+            sequence: u16::from_be_bytes([h[2], h[3]]),
+            timestamp: u32::from_be_bytes([h[4], h[5], h[6], h[7]]),
+            ssrc: u32::from_be_bytes([h[8], h[9], h[10], h[11]]),
         })
     }
 }
@@ -150,6 +145,8 @@ mod tests {
         };
         let wire = h.encode();
         assert_eq!(wire.len(), RTP_HEADER_LEN);
+        // Network byte order, as RFC 3550 puts it on the wire.
+        assert_eq!(wire, [0x80, 0x80, 0xBE, 0xEF, 0x12, 0x34, 0x56, 0x78, 0xCA, 0xFE, 0xBA, 0xBE]);
         let back = RtpHeader::decode(&wire).unwrap();
         assert_eq!(back, h);
     }
@@ -169,7 +166,7 @@ mod tests {
 
     #[test]
     fn decode_rejects_bad_version() {
-        let mut wire = RtpHeader::pcmu(0, 0, 0).encode().to_vec();
+        let mut wire = RtpHeader::pcmu(0, 0, 0).encode();
         wire[0] = 0x40; // version 1
         assert_eq!(RtpHeader::decode(&wire), Err(RtpError::BadVersion(1)));
     }

@@ -75,10 +75,10 @@ pub use chaos::{
 };
 pub use digest::{ChannelId, ChannelKind, DigestSchema, QuantileSketch, ShardDigest, Welford};
 pub use fault::{FaultEffect, FaultKind, FaultOutcome, FaultPlan, FaultSpec, FaultWindow};
-pub use flight::{FlightCapture, FlightKey, WorstK, FLIGHT_COMPILED};
+pub use flight::{FlightCapture, FlightKey, WorstK};
 pub use metrics::{LogHistogram, MetricsRegistry};
 pub use par::SweepRunner;
-pub use queue::{EventId, EventQueue, QueueBackend, DAY_NANOS, WHEEL_DAYS};
+pub use queue::{EventId, EventQueue};
 pub use rng::{RngStream, SeedFactory};
 pub use scratch::MetricsScratch;
 pub use stats::{
@@ -209,9 +209,7 @@ mod proptests {
         /// naive reference (a flat list popped by min `(at, seq)`): random
         /// interleavings of schedule / cancel / pop must agree on every
         /// popped timestamp and payload, on `len()`, on `peek_time()`, and
-        /// cancelling an already-popped handle must stay a no-op. Runs the
-        /// same operation sequence against **both** backends — the slab
-        /// heap and the calendar wheel — so the model pins them equally.
+        /// cancelling an already-popped handle must stay a no-op.
         #[test]
         fn event_queue_matches_reference_model(
             ops in proptest::collection::vec(0u32..1_000_000, 1..300),
@@ -222,8 +220,7 @@ mod proptests {
                 tag: u64,
                 live: bool,
             }
-            for backend in [queue::QueueBackend::Heap, queue::QueueBackend::Calendar] {
-            let mut q = EventQueue::with_backend(backend);
+            let mut q = EventQueue::new();
             let mut model: Vec<Ref> = Vec::new();
             // Outstanding (device handle, model index) pairs.
             let mut handles: Vec<(EventId, usize)> = Vec::new();
@@ -234,7 +231,7 @@ mod proptests {
                     0 | 1 => {
                         // Mostly sub-millisecond deltas, with an
                         // occasional far-future one so the calendar
-                        // backend's overflow heap is exercised too.
+                        // wheel's overflow heap is exercised too.
                         let base = u64::from(op / 4) % 10_000;
                         let delta = if op % 97 == 0 {
                             SimDuration::from_nanos(base * 100_000_000)
@@ -291,7 +288,6 @@ mod proptests {
                     .map(|m| m.at)
                     .min();
                 prop_assert_eq!(q.peek_time(), want_peek);
-            }
             }
         }
     }

@@ -11,31 +11,23 @@
 //! (already fired, or already cancelled) fails the generation check and the
 //! cancel is a true no-op — it can never skew [`EventQueue::len`].
 //!
-//! # Backends
+//! # Storage
 //!
-//! Two storage backends implement the identical pop order (global minimum
-//! `(at, seq)`), selectable per queue via [`QueueBackend`]:
+//! Pending entries wait in a calendar wheel of [`DAY_NANOS`]-wide buckets
+//! spanning [`WHEEL_DAYS`] days from the current clock, with a binary heap
+//! for events beyond the span. Events land in their day's bucket at
+//! schedule time (sorted insertion into a short vector); pop takes the
+//! tail of the first non-empty bucket at-or-after `now`, so the
+//! dense-timer regime the world model generates (20 ms VoIP ticks, sub-ms
+//! MAC service chains, keepalives and probes) schedules and pops in O(1)
+//! with no heap rebalancing on the hot path. Far-future events (call
+//! teardown, sparse streams, keepalive periods beyond the span) stay in
+//! the overflow heap and are compared against the wheel head at pop, so
+//! sparse time distributions degrade to plain O(log n) heap behaviour.
 //!
-//! - **Heap** (default): a binary heap. O(log n) schedule/pop regardless
-//!   of the time distribution — the safe general-purpose choice.
-//! - **Calendar**: a calendar wheel of [`DAY_NANOS`]-wide buckets spanning
-//!   [`WHEEL_DAYS`] days from the current clock, with a heap for events
-//!   beyond the span. Events land in their day's bucket at schedule time
-//!   (sorted insertion into a short vector); pop takes the tail of the
-//!   first non-empty bucket at-or-after `now`, so the dense-timer regime
-//!   the world model generates (20 ms VoIP ticks, sub-ms MAC service
-//!   chains, keepalives and probes) schedules and pops in O(1) with no
-//!   heap rebalancing on the hot path. Far-future events (call teardown,
-//!   keepalive periods beyond the span) stay in the overflow heap and are
-//!   compared against the wheel head at pop.
-//!
-//! The two backends are pinned pop-order-identical by a differential test
-//! below and by the model-based proptest in `lib.rs`, which runs against
-//! both.
-//!
-//! The slab, generation stamps, FIFO tie-break, `len`/`peek_time`
-//! semantics and the schedule-in-the-past panic are backend-independent:
-//! the backend only decides *where* a pending entry waits.
+//! The pop order — global minimum `(at, seq)` — is pinned against a naive
+//! reference model by a differential test below and by the model-based
+//! proptest in `lib.rs`.
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
@@ -77,7 +69,7 @@ impl EventId {
 }
 
 /// The ordering key of one pending event. Payloads live in the slab
-/// (`EventQueue::events`), so the heap/wheel shuffle 24-byte keys instead
+/// (`EventQueue::events`), so the wheel and heap shuffle 24-byte keys instead
 /// of full event values — sift swaps and bucket memmoves stay cheap no
 /// matter how large the caller's event enum is.
 #[derive(Clone, Copy)]
@@ -109,25 +101,11 @@ impl Ord for Scheduled {
 /// One slab slot: the generation of the handle it currently backs, and
 /// whether that event is still due to fire. A slot is freed (and its
 /// generation bumped) only when its pending entry drains, so slot indices
-/// held by the backend are always valid.
+/// held by the wheel or the overflow heap are always valid.
 #[derive(Clone, Copy)]
 struct Slot {
     gen: u32,
     live: bool,
-}
-
-/// Which storage backend a queue uses. Pop order is identical; only the
-/// complexity profile differs (see the [module docs](self)).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum QueueBackend {
-    /// Binary heap: O(log n) schedule/pop, robust to any time
-    /// distribution. The default.
-    #[default]
-    Heap,
-    /// Calendar wheel + overflow heap: O(1) schedule/pop in the
-    /// dense-timer regime where most events land within the wheel span
-    /// of the clock.
-    Calendar,
 }
 
 /// The calendar-wheel storage: near events bucketed by "day" (a
@@ -237,13 +215,6 @@ type WheelHead = (SimTime, u64, usize);
 /// The overflow heap's live minimum key: `(at, seq)`.
 type OverflowHead = (SimTime, u64);
 
-/// Backend storage for pending entries (ordering keys only — payloads
-/// stay in the owning queue's slab).
-enum Backend {
-    Heap(BinaryHeap<Scheduled>),
-    Calendar(CalendarWheel),
-}
-
 /// A time-ordered queue of events of type `E`.
 ///
 /// This is the only scheduling primitive in the simulator. Higher layers
@@ -263,11 +234,12 @@ enum Backend {
 /// assert_eq!(ev, Ev::Tick(0));
 /// ```
 pub struct EventQueue<E> {
-    backend: Backend,
+    /// Pending entries (ordering keys only — payloads stay in `events`).
+    wheel: CalendarWheel,
     slots: Vec<Slot>,
     /// Payload slab, parallel to `slots`: `events[slot]` holds the value
     /// scheduled under that slot until it pops (or its cancelled entry
-    /// drains). Keeping payloads out of the backend means heap sifts and
+    /// drains). Keeping payloads out of the wheel means heap sifts and
     /// bucket inserts move 24-byte keys, not whole event enums.
     events: Vec<Option<E>>,
     free: Vec<u32>,
@@ -284,17 +256,16 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue with the clock at [`SimTime::ZERO`], on the default
-    /// heap backend.
+    /// An empty queue with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
         Self::with_capacity(0)
     }
 
     /// An empty queue pre-sized for `cap` pending events, so steady-state
-    /// scheduling never reallocates the heap or the slot slab.
+    /// scheduling never reallocates the slot slab.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            backend: Backend::Heap(BinaryHeap::with_capacity(cap)),
+            wheel: CalendarWheel::new(),
             slots: Vec::with_capacity(cap),
             events: Vec::with_capacity(cap),
             free: Vec::new(),
@@ -304,47 +275,13 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// An empty queue on the chosen backend.
-    pub fn with_backend(backend: QueueBackend) -> Self {
-        let mut q = Self::new();
-        q.set_backend(backend);
-        q
-    }
-
-    /// Which backend this queue runs on.
-    pub fn backend(&self) -> QueueBackend {
-        match self.backend {
-            Backend::Heap(_) => QueueBackend::Heap,
-            Backend::Calendar(_) => QueueBackend::Calendar,
-        }
-    }
-
-    /// Switch an **empty** queue to `backend` (no-op if it already runs
-    /// on it, preserving pooled capacity across arena reuse).
-    ///
-    /// # Panics
-    /// If events are pending: entries cannot be moved between backends
-    /// without perturbing the slab, and no caller needs that.
-    pub fn set_backend(&mut self, backend: QueueBackend) {
-        assert!(self.is_empty(), "cannot switch backend with events pending");
-        match (&mut self.backend, backend) {
-            (Backend::Heap(_), QueueBackend::Heap)
-            | (Backend::Calendar(_), QueueBackend::Calendar) => {}
-            (b, QueueBackend::Heap) => *b = Backend::Heap(BinaryHeap::new()),
-            (b, QueueBackend::Calendar) => *b = Backend::Calendar(CalendarWheel::new()),
-        }
-    }
-
     /// Clear everything — pending events, slab, clock, sequence counter —
-    /// while keeping allocated capacity (and the backend choice). A reset
-    /// queue is observationally identical to a fresh one; this is what
-    /// makes queues poolable in a [`WorkerArena`](crate::WorkerArena)
-    /// without breaking run-to-run determinism.
+    /// while keeping allocated capacity. A reset queue is observationally
+    /// identical to a fresh one; this is what makes queues poolable in a
+    /// [`WorkerArena`](crate::WorkerArena) without breaking run-to-run
+    /// determinism.
     pub fn reset(&mut self) {
-        match &mut self.backend {
-            Backend::Heap(h) => h.clear(),
-            Backend::Calendar(w) => w.clear(),
-        }
+        self.wheel.clear();
         self.slots.clear();
         self.events.clear();
         self.free.clear();
@@ -361,11 +298,7 @@ impl<E> EventQueue<E> {
 
     /// Number of pending (non-cancelled) events.
     pub fn len(&self) -> usize {
-        let entries = match &self.backend {
-            Backend::Heap(h) => h.len(),
-            Backend::Calendar(w) => w.entries(),
-        };
-        entries - self.cancelled
+        self.wheel.entries() - self.cancelled
     }
 
     /// `true` if no events are pending.
@@ -403,11 +336,7 @@ impl<E> EventQueue<E> {
         self.next_seq += 1;
         let slot = self.alloc_slot();
         self.events[slot as usize] = Some(event);
-        let entry = Scheduled { at, seq, slot };
-        match &mut self.backend {
-            Backend::Heap(h) => h.push(entry),
-            Backend::Calendar(w) => w.insert(entry, self.now),
-        }
+        self.wheel.insert(Scheduled { at, seq, slot }, self.now);
         EventId::new(slot, self.slots[slot as usize].gen)
     }
 
@@ -443,39 +372,35 @@ impl<E> EventQueue<E> {
 
     /// Pop the earliest pending event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let popped = match &mut self.backend {
-            Backend::Heap(_) => self.pop_heap(),
-            Backend::Calendar(_) => self.pop_calendar(),
+        let (wheel_head, overflow_key) = self.heads();
+        let from_wheel = match (wheel_head, overflow_key) {
+            (None, None) => return None,
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (Some((at, seq, _)), Some(okey)) => (at, seq) < okey,
         };
-        if let Some((at, _)) = &popped {
-            crate::sim_assert!(
-                *at >= self.now,
-                "event queue produced time travel: popped {:?} with clock at {:?}",
-                at,
-                self.now
-            );
-            self.now = *at;
-        }
-        popped
-    }
-
-    fn pop_heap(&mut self) -> Option<(SimTime, E)> {
-        let EventQueue { backend, slots, events, free, cancelled, .. } = self;
-        let Backend::Heap(heap) = backend else { unreachable!() };
-        loop {
-            let s = heap.pop()?;
-            let slot = &mut slots[s.slot as usize];
-            let live = slot.live;
-            slot.gen = slot.gen.wrapping_add(1);
-            slot.live = false;
-            let ev = events[s.slot as usize].take();
-            free.push(s.slot);
-            if !live {
-                *cancelled -= 1;
-                continue;
+        let w = &mut self.wheel;
+        let s = if from_wheel {
+            let (_, _, idx) = wheel_head.expect("wheel head chosen");
+            w.bucketed -= 1;
+            let s = w.buckets[idx].pop().expect("wheel head vanished");
+            if w.buckets[idx].is_empty() {
+                w.clear_occ(idx);
             }
-            return Some((s.at, ev.expect("live entry has payload")));
-        }
+            s
+        } else {
+            w.overflow.pop().expect("overflow head vanished")
+        };
+        let ev = self.events[s.slot as usize].take();
+        self.release(s.slot);
+        crate::sim_assert!(
+            s.at >= self.now,
+            "event queue produced time travel: popped {:?} with clock at {:?}",
+            s.at,
+            self.now
+        );
+        self.now = s.at;
+        Some((s.at, ev.expect("live entry has payload")))
     }
 
     /// Find the wheel's live minimum `(at, seq, bucket)`, draining dead
@@ -486,9 +411,8 @@ impl<E> EventQueue<E> {
     /// rather than a walk over empty days. Each bucket holds one day's
     /// events sorted descending, so the first live tail found is the
     /// wheel minimum.
-    fn calendar_heads(&mut self) -> (Option<WheelHead>, Option<OverflowHead>) {
-        let EventQueue { backend, slots, events, free, cancelled, now, .. } = self;
-        let Backend::Calendar(w) = backend else { unreachable!() };
+    fn heads(&mut self) -> (Option<WheelHead>, Option<OverflowHead>) {
+        let EventQueue { wheel: w, slots, events, free, cancelled, now, .. } = self;
         let start = ((now.as_nanos() / DAY_NANOS) % WHEEL_DAYS) as usize;
         let mut wheel_head = None;
         'scan: while let Some(idx) = w.next_occupied(start) {
@@ -525,57 +449,18 @@ impl<E> EventQueue<E> {
         (wheel_head, w.overflow.peek().map(|h| (h.at, h.seq)))
     }
 
-    fn pop_calendar(&mut self) -> Option<(SimTime, E)> {
-        let (wheel_head, overflow_key) = self.calendar_heads();
-        let from_wheel = match (wheel_head, overflow_key) {
-            (None, None) => return None,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some((at, seq, _)), Some(okey)) => (at, seq) < okey,
-        };
-        let Backend::Calendar(w) = &mut self.backend else { unreachable!() };
-        let s = if from_wheel {
-            let (_, _, idx) = wheel_head.expect("wheel head chosen");
-            w.bucketed -= 1;
-            let s = w.buckets[idx].pop().expect("wheel head vanished");
-            if w.buckets[idx].is_empty() {
-                w.clear_occ(idx);
-            }
-            s
-        } else {
-            w.overflow.pop().expect("overflow head vanished")
-        };
-        let ev = self.events[s.slot as usize].take();
-        self.release(s.slot);
-        Some((s.at, ev.expect("live entry has payload")))
-    }
-
     /// Timestamp of the earliest pending event without popping it.
     ///
     /// Cancelled entries at the head are drained as they are discovered,
     /// so repeated peeks stay cheap.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.backend {
-            Backend::Heap(_) => loop {
-                let Backend::Heap(heap) = &mut self.backend else { unreachable!() };
-                let head = heap.peek()?;
-                if self.slots[head.slot as usize].live {
-                    return Some(head.at);
-                }
-                let dead = heap.pop().expect("peeked entry vanished");
-                self.release(dead.slot);
-                self.cancelled -= 1;
-            },
-            Backend::Calendar(_) => {
-                // Same head selection as pop_calendar, without removal.
-                let (wheel_head, overflow_key) = self.calendar_heads();
-                match (wheel_head.map(|(at, seq, _)| (at, seq)), overflow_key) {
-                    (None, None) => None,
-                    (Some((at, _)), None) => Some(at),
-                    (None, Some((at, _))) => Some(at),
-                    (Some(wkey), Some(okey)) => Some(wkey.min(okey).0),
-                }
-            }
+        // Same head selection as `pop`, without removal.
+        let (wheel_head, overflow_key) = self.heads();
+        match (wheel_head.map(|(at, seq, _)| (at, seq)), overflow_key) {
+            (None, None) => None,
+            (Some((at, _)), None) => Some(at),
+            (None, Some((at, _))) => Some(at),
+            (Some(wkey), Some(okey)) => Some(wkey.min(okey).0),
         }
     }
 }
@@ -784,46 +669,40 @@ mod tests {
         }
     }
 
-    /// Run `f` once per backend, so behaviors are pinned on both.
-    fn for_both_backends(f: impl Fn(EventQueue<Tag>)) {
-        f(EventQueue::with_backend(QueueBackend::Heap));
-        f(EventQueue::with_backend(QueueBackend::Calendar));
-    }
-
+    // The `both_backends_*` tests pin both storage tiers: near events in
+    // the wheel's buckets, far events in its overflow heap.
     #[test]
     fn both_backends_pop_in_time_order_with_fifo_ties() {
-        for_both_backends(|mut q| {
-            q.schedule(SimTime::from_millis(30), Tag(3));
-            q.schedule(SimTime::from_millis(10), Tag(1));
-            q.schedule(SimTime::from_millis(10), Tag(2));
-            // Far beyond the calendar wheel span — lands in overflow.
-            q.schedule(SimTime::from_secs(300), Tag(9));
-            q.schedule(SimTime::from_millis(20), Tag(4));
-            let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|(_, t)| t.0).collect();
-            assert_eq!(order, vec![1, 2, 4, 3, 9], "backend {:?}", q.backend());
-        });
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_millis(30), Tag(3));
+        q.schedule(SimTime::from_millis(10), Tag(1));
+        q.schedule(SimTime::from_millis(10), Tag(2));
+        // Far beyond the calendar wheel span — lands in overflow.
+        q.schedule(SimTime::from_secs(300), Tag(9));
+        q.schedule(SimTime::from_millis(20), Tag(4));
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|(_, t)| t.0).collect();
+        assert_eq!(order, vec![1, 2, 4, 3, 9]);
     }
 
     #[test]
     fn both_backends_cancel_and_peek() {
-        for_both_backends(|mut q| {
-            let a = q.schedule(SimTime::from_millis(1), Tag(1));
-            let b = q.schedule(SimTime::from_secs(200), Tag(2)); // overflow on calendar
-            q.schedule(SimTime::from_millis(3), Tag(3));
-            q.cancel(a);
-            q.cancel(b);
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.peek_time(), Some(SimTime::from_millis(3)));
-            assert_eq!(q.pop().unwrap().1, Tag(3));
-            assert_eq!(q.peek_time(), None);
-            assert!(q.pop().is_none());
-        });
+        let mut q = EventQueue::new();
+        let a = q.schedule(SimTime::from_millis(1), Tag(1));
+        let b = q.schedule(SimTime::from_secs(200), Tag(2)); // overflow
+        q.schedule(SimTime::from_millis(3), Tag(3));
+        q.cancel(a);
+        q.cancel(b);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(3)));
+        assert_eq!(q.pop().unwrap().1, Tag(3));
+        assert_eq!(q.peek_time(), None);
+        assert!(q.pop().is_none());
     }
 
     #[test]
     #[should_panic(expected = "scheduled event at")]
     fn calendar_scheduling_in_past_panics() {
-        let mut q = EventQueue::with_backend(QueueBackend::Calendar);
+        let mut q = EventQueue::new();
         q.schedule(SimTime::from_millis(10), Tag(0));
         q.pop();
         q.schedule(SimTime::from_millis(5), Tag(1));
@@ -831,7 +710,7 @@ mod tests {
 
     #[test]
     fn calendar_stale_handle_does_not_cancel_slot_reuser() {
-        let mut q = EventQueue::with_backend(QueueBackend::Calendar);
+        let mut q = EventQueue::new();
         let a = q.schedule(SimTime::from_millis(1), Tag(1));
         q.pop().unwrap();
         let _b = q.schedule(SimTime::from_millis(2), Tag(2)); // reuses a's slot
@@ -841,40 +720,29 @@ mod tests {
     }
 
     #[test]
-    fn set_backend_requires_empty_and_reset_restores_fresh_state() {
+    fn reset_restores_fresh_state() {
         let mut q: EventQueue<Tag> = EventQueue::new();
-        assert_eq!(q.backend(), QueueBackend::Heap);
-        q.set_backend(QueueBackend::Calendar);
-        assert_eq!(q.backend(), QueueBackend::Calendar);
         q.schedule(SimTime::from_millis(5), Tag(1));
         q.schedule(SimTime::from_secs(500), Tag(2));
         q.pop().unwrap();
         q.reset();
         assert!(q.is_empty());
         assert_eq!(q.now(), SimTime::ZERO);
-        assert_eq!(q.backend(), QueueBackend::Calendar);
         // Sequence counter and slab restart from scratch: a reset queue
         // behaves exactly like a fresh one.
         q.schedule(SimTime::from_millis(1), Tag(7));
         assert_eq!(q.pop(), Some((SimTime::from_millis(1), Tag(7))));
     }
 
-    #[test]
-    #[should_panic(expected = "cannot switch backend")]
-    fn set_backend_panics_with_pending_events() {
-        let mut q: EventQueue<Tag> = EventQueue::new();
-        q.schedule(SimTime::from_millis(1), Tag(1));
-        q.set_backend(QueueBackend::Calendar);
-    }
-
-    /// The satellite differential test: identical randomized
-    /// schedule/cancel/pop interleavings — dense (timer-regime) and
-    /// sparse (keepalive-regime) time distributions — must produce
-    /// bit-identical pop sequences, lengths and peeks on both backends.
+    /// The differential test: randomized schedule/cancel/pop/peek
+    /// interleavings — dense (timer-regime, mostly wheel buckets) and
+    /// sparse (keepalive-regime, mostly overflow heap) time distributions
+    /// — must produce the same pop sequences, lengths and peeks as a naive
+    /// reference that scans a plain list for the minimum `(at, seq)`.
     #[test]
     fn heap_and_calendar_pop_order_is_identical() {
-        // Deterministic xorshift so the test needs no external RNG.
-        fn run(backend: QueueBackend, dense: bool) -> Vec<(SimTime, u32, usize)> {
+        for dense in [true, false] {
+            // Deterministic xorshift so the test needs no external RNG.
             let mut state = 0xDEADBEEFCAFEu64 ^ (dense as u64);
             let mut next = move || {
                 state ^= state << 13;
@@ -882,49 +750,56 @@ mod tests {
                 state ^= state << 17;
                 state
             };
-            let mut q = EventQueue::with_backend(backend);
-            let mut handles: Vec<EventId> = Vec::new();
-            let mut log = Vec::new();
+            let mut q = EventQueue::new();
+            // Reference: live `(at, seq, tag)` entries plus each handle's seq.
+            let mut model: Vec<(SimTime, u64, u32)> = Vec::new();
+            let mut handles: Vec<(EventId, u64)> = Vec::new();
+            let mut seq = 0u64;
+            let model_min = |m: &Vec<(SimTime, u64, u32)>| {
+                (0..m.len()).min_by_key(|&i| (m[i].0, m[i].1))
+            };
             for round in 0..2_000u32 {
                 match next() % 5 {
                     0..=2 => {
                         // Dense: sub-wheel-span deltas clustering like the
                         // VoIP tick burst. Sparse: up to 10 s, mostly
-                        // overflow territory for the calendar.
+                        // overflow territory.
                         let delta = if dense {
                             SimDuration::from_nanos(next() % 30_000_000)
                         } else {
                             SimDuration::from_nanos(next() % 10_000_000_000)
                         };
-                        handles.push(q.schedule(q.now() + delta, Tag(round)));
+                        let at = q.now() + delta;
+                        handles.push((q.schedule(at, Tag(round)), seq));
+                        model.push((at, seq, round));
+                        seq += 1;
                     }
                     3 => {
                         if !handles.is_empty() {
                             let k = (next() as usize) % handles.len();
-                            q.cancel(handles.swap_remove(k));
+                            let (id, s) = handles.swap_remove(k);
+                            q.cancel(id);
+                            model.retain(|e| e.1 != s);
                         }
                     }
                     _ => {
-                        if let Some((at, tag)) = q.pop() {
-                            log.push((at, tag.0, q.len()));
-                        }
+                        let want = model_min(&model).map(|i| model.swap_remove(i));
+                        let got = q.pop();
+                        assert_eq!(got, want.map(|(at, _, tag)| (at, Tag(tag))), "dense={dense}");
+                        assert_eq!(q.len(), model.len(), "dense={dense}");
                     }
                 }
                 if next() % 7 == 0 {
-                    if let Some(t) = q.peek_time() {
-                        log.push((t, u32::MAX, q.len()));
-                    }
+                    let want = model_min(&model).map(|i| model[i].0);
+                    assert_eq!(q.peek_time(), want, "dense={dense}");
+                    assert_eq!(q.len(), model.len(), "dense={dense}");
                 }
             }
-            while let Some((at, tag)) = q.pop() {
-                log.push((at, tag.0, q.len()));
+            while let Some(i) = model_min(&model) {
+                let (at, _, tag) = model.swap_remove(i);
+                assert_eq!(q.pop(), Some((at, Tag(tag))), "dense={dense}");
             }
-            log
-        }
-        for dense in [true, false] {
-            let heap = run(QueueBackend::Heap, dense);
-            let calendar = run(QueueBackend::Calendar, dense);
-            assert_eq!(heap, calendar, "dense={dense}");
+            assert!(q.pop().is_none());
         }
     }
 

@@ -14,14 +14,15 @@
 //!   suspended at runtime, corpus outputs are bit-identical at 1/2/4/8
 //!   worker threads.
 //! - **Ledger closure in every mode**: each `RunMode` (including fault
-//!   injection) finalises its conservation ledger without complaint.
+//!   injection) finalises its conservation ledger without complaint, and
+//!   so does a multi-client fleet under a fault plan.
 
-use diversifi::evaluation::{run_eval_corpus, EvalOptions};
+use diversifi::evaluation::{office_fleet, run_eval_corpus, EvalOptions};
 use diversifi::world::{RunMode, World, WorldConfig};
 use diversifi_simcore::{
     check, FaultKind, FaultPlan, SeedFactory, SimDuration, SimTime, SweepRunner,
 };
-use diversifi_voip::DEFAULT_DEADLINE;
+use diversifi_voip::{StreamSpec, DEFAULT_DEADLINE};
 use diversifi_wifi::{Channel, GeParams, LinkConfig};
 use proptest::prelude::*;
 use std::fmt::Write as _;
@@ -259,6 +260,28 @@ fn ledger_closes_in_every_mode_and_fault_kind() {
                 "world produced an empty trace for {mode:?} tcp={with_tcp} fault={label}"
             );
         }
+    }
+}
+
+/// A 4-client fleet — three DiversiFi clients and one primary-only
+/// bystander sharing both APs, plus TCP on the DEF link — closes its
+/// ledger under the fault plan that strikes every fault kind at once. The
+/// ledger audits every client's stream copies and queues.
+#[test]
+fn fleet_ledger_closes_under_a_fault_plan() {
+    let mut spec = StreamSpec::voip();
+    spec.duration = SimDuration::from_secs(8);
+    let s = SeedFactory::new(0xF1EE7);
+    let mut cfg = office_fleet(4, true, spec, &s);
+    cfg.extra_clients[2].diversifi = false;
+    cfg.with_tcp = true;
+    let (_, plan) = fault_catalogue().pop().expect("kitchen_sink is last");
+    cfg.faults = plan;
+    let report = World::new(&cfg, &s).run();
+    assert_eq!(report.extra_clients.len(), 3);
+    assert_eq!(report.fault_outcomes.len(), cfg.faults.windows().len());
+    for (i, trace) in report.client_traces().enumerate() {
+        assert!(trace.loss_rate(DEFAULT_DEADLINE) < 1.0, "client {i} heard nothing");
     }
 }
 

@@ -13,8 +13,8 @@
 //! they are not, so any single-bit divergence fails the test.
 
 use diversifi::analysis::{self, AnalysisOptions, CallRecord};
-use diversifi::evaluation::{run_eval_corpus, EvalOptions};
-use diversifi::multiworld::{fleet_sweep, office_fleet, MultiWorld, MultiWorldReport};
+use diversifi::evaluation::{fleet_sweep, office_fleet, run_eval_corpus, EvalOptions};
+use diversifi::world::{RunReport, World};
 use diversifi_simcore::{SeedFactory, SimDuration};
 use diversifi_voip::{StreamSpec, StreamTrace};
 use std::fmt::Write as _;
@@ -42,11 +42,12 @@ fn corpus_fp(records: &[CallRecord]) -> String {
     s
 }
 
-fn report_fp(r: &MultiWorldReport) -> String {
+fn report_fp(r: &RunReport) -> String {
     let mut s = format!("air={};", r.secondary_air_tx);
-    for c in &r.clients {
-        write!(s, "visits={},recovered={},", c.recovery_visits, c.recovered).unwrap();
-        trace_fp(&mut s, &c.trace);
+    let stats = std::iter::once(&r.alg_stats).chain(r.extra_clients.iter().map(|c| &c.alg_stats));
+    for (trace, a) in r.client_traces().zip(stats) {
+        write!(s, "visits={},recovered={},", a.recovery_visits, a.recovered_on_secondary).unwrap();
+        trace_fp(&mut s, trace);
         s.push('\n');
     }
     s
@@ -102,8 +103,8 @@ fn fleet_sweep_matches_serial_reference() {
     assert_eq!(rows.len(), 2);
     for (n, base, dvf) in &rows {
         let seeds = SeedFactory::new(seed_for(*n));
-        let ref_base = MultiWorld::new(office_fleet(*n, false, spec, &seeds), &seeds).run();
-        let ref_dvf = MultiWorld::new(office_fleet(*n, true, spec, &seeds), &seeds).run();
+        let ref_base = World::new(&office_fleet(*n, false, spec, &seeds), &seeds).run();
+        let ref_dvf = World::new(&office_fleet(*n, true, spec, &seeds), &seeds).run();
         assert_eq!(report_fp(base), report_fp(&ref_base), "baseline arm diverged at n={n}");
         assert_eq!(report_fp(dvf), report_fp(&ref_dvf), "diversifi arm diverged at n={n}");
     }

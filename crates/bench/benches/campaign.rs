@@ -43,9 +43,10 @@ fn bench_fold(c: &mut Criterion) {
             let out = run_campaign(
                 &cfg(0),
                 &fleet.schema,
-                |i, _scratch, digest| {
+                |i, digest, _worst| {
                     fleet.fold(&sampler.call(i), digest);
                 },
+                |_| {},
                 |_| {},
             )
             .expect("in-memory campaign cannot fail");
@@ -78,9 +79,10 @@ fn bench_fold(c: &mut Criterion) {
             let out = run_campaign(
                 &cfg(1),
                 &fleet.schema,
-                |i, _scratch, digest| {
+                |i, digest, _worst| {
                     fleet.fold(&sampler.call(i), digest);
                 },
+                |_| {},
                 |_| {},
             )
             .expect("in-memory campaign cannot fail");

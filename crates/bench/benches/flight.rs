@@ -8,17 +8,15 @@
 //! EXPERIMENTS.md records the measured numbers.
 //!
 //! - `campaign/flight_100k/recorder_off` — `run_campaign` folding the
-//!   fps fleet digest with no selection at all.
-//! - `campaign/flight_100k/recorder_on` — `run_campaign_observed` with
+//!   fps fleet digest with no selection at all (`flight_k = 0`).
+//! - `campaign/flight_100k/recorder_on` — the same fold with
 //!   `flight_k = 8`, scoring each call and offering those below
 //!   `FPS_QOE_POOR` into the per-shard selector.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use diversifi::campaign::FleetSchema;
 use diversifi::population::{CallSampler, PopulationModel};
-use diversifi_simcore::{
-    run_campaign, run_campaign_observed, CampaignConfig, FlightKey,
-};
+use diversifi_simcore::{run_campaign, CampaignConfig, FlightKey};
 use diversifi_voip::{FpsConfig, WorkloadKind, FPS_QOE_POOR};
 
 const CALLS: u64 = 100_000;
@@ -46,9 +44,10 @@ fn bench_flight(c: &mut Criterion) {
             let out = run_campaign(
                 &cfg(0),
                 &fleet.schema,
-                |i, _scratch, digest| {
+                |i, digest, _worst| {
                     fleet.fold(&sampler.call(i), digest);
                 },
+                |_| {},
                 |_| {},
             )
             .expect("in-memory campaign cannot fail");
@@ -58,10 +57,10 @@ fn bench_flight(c: &mut Criterion) {
 
     g.bench_function("recorder_on", |b| {
         b.iter(|| {
-            let out = run_campaign_observed(
+            let out = run_campaign(
                 &cfg(8),
                 &fleet.schema,
-                |i, _scratch, digest, worst| {
+                |i, digest, worst| {
                     let score = fleet.fold(&sampler.call(i), digest);
                     if score < FPS_QOE_POOR {
                         worst.offer(FlightKey { score, seed: SEED, index: i });

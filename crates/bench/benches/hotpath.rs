@@ -1,6 +1,6 @@
-//! Hot-path benchmarks (`BENCH_hotpath.json`): the batched-SoA channel
-//! stepping + arena-backed worlds + calendar event queue + k-way trace
-//! merge fast path, measured as one workload.
+//! Hot-path benchmarks (`BENCH_hotpath.json`): channel materialisation +
+//! arena-backed worlds + calendar event queue + k-way trace merge fast
+//! path, measured as one workload.
 //!
 //! - `hotpath/three_arm_10s/*` — the `channel/three_arm_10s` paired
 //!   workload on the sweep steady state: a **persistent** warm
@@ -8,8 +8,9 @@
 //!   per-iteration cold cache of the `channel` bench measures first-call
 //!   cost, not the corpus regime). `warm_arena` is the full fast path;
 //!   `warm_no_arena` isolates what the arena recycling buys.
-//! - `hotpath/materialize_batch_60s` — the SoA batch kernel vs N
-//!   scattered per-link walks for a 4-link world.
+//! - `hotpath/materialize_batch_60s/x4` — materialising the four links
+//!   of a 4-link world over 60 s (one per-link body, OU grid
+//!   coefficients hoisted per track).
 //! - `hotpath/queue_churn/calendar` — the calendar event queue on the
 //!   dense-timer schedule shape (20 ms periodic + jittered sub-ms
 //!   completions).
@@ -71,8 +72,8 @@ fn bench_three_arm(c: &mut Criterion) {
     g.finish();
 }
 
-/// The SoA batch kernel: all GE chains and OU tracks of a 4-link world
-/// advanced in one loop over the 2 ms grid, vs 4 scattered walks.
+/// Materialisation of a 4-link world: every GE chain and OU track over
+/// the 2 ms grid, fresh seeds each iteration.
 fn bench_materialize_batch(c: &mut Criterion) {
     let (a, b) = links();
     let c2 = LinkConfig::office(Channel::CH6, 21.0);
@@ -81,7 +82,7 @@ fn bench_materialize_batch(c: &mut Criterion) {
     let all = [a, b, c2, d];
     let horizon = SimTime::ZERO + SimDuration::from_secs(60);
     let mut g = c.benchmark_group("hotpath/materialize_batch_60s");
-    g.bench_function("batched_x4", |bch| {
+    g.bench_function("x4", |bch| {
         let mut k = 0u64;
         bch.iter(|| {
             k += 1;
@@ -89,19 +90,6 @@ fn bench_materialize_batch(c: &mut Criterion) {
             let batch: Vec<(&LinkConfig, u64)> =
                 all.iter().enumerate().map(|(i, l)| (l, i as u64)).collect();
             black_box(ChannelRealization::materialize_batch(&batch, &seeds, horizon))
-        })
-    });
-    g.bench_function("scattered_x4", |bch| {
-        let mut k = 0u64;
-        bch.iter(|| {
-            k += 1;
-            let seeds = SeedFactory::new(k);
-            let reals: Vec<ChannelRealization> = all
-                .iter()
-                .enumerate()
-                .map(|(i, l)| ChannelRealization::materialize(l, &seeds, i as u64, horizon))
-                .collect();
-            black_box(reals)
         })
     });
     g.finish();

@@ -133,6 +133,24 @@ impl Ctx {
     }
 }
 
+/// The value following `flag`, parsed as `T`. A missing or malformed
+/// value prints the flag with the expected form (`what`) and exits 2, so
+/// a bad command line fails before any experiment runs.
+fn flag_value<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> T {
+    let Some(raw) = args.next() else {
+        eprintln!("{flag}: missing value (expected {what})");
+        std::process::exit(2);
+    };
+    raw.parse().unwrap_or_else(|_| {
+        eprintln!("{flag}: invalid value {raw:?} (expected {what})");
+        std::process::exit(2);
+    })
+}
+
 fn main() {
     let mut scale = Scale::full();
     let mut seed = 0xD1BE5F1u64;
@@ -153,12 +171,10 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => scale = Scale::quick(),
-            "--seed" => {
-                seed = args.next().expect("--seed N").parse().expect("seed must be u64")
-            }
-            "--out" => out_dir = args.next().expect("--out DIR"),
-            "--trace-out" => trace_out = Some(args.next().expect("--trace-out PATH")),
-            "--metrics-out" => metrics_out = Some(args.next().expect("--metrics-out PATH")),
+            "--seed" => seed = flag_value(&mut args, "--seed", "N"),
+            "--out" => out_dir = flag_value(&mut args, "--out", "DIR"),
+            "--trace-out" => trace_out = Some(flag_value(&mut args, "--trace-out", "PATH")),
+            "--metrics-out" => metrics_out = Some(flag_value(&mut args, "--metrics-out", "PATH")),
             "--resilience" => wanted.push("resilience".to_string()),
             "--phase-profile" => {
                 phase_profile(seed);
@@ -177,36 +193,21 @@ fn main() {
                 std::process::exit(code);
             }
             "--campaign" => {
-                campaign_path = Some(args.next().expect("--campaign SCENARIO.{json,toml}"));
+                campaign_path = Some(flag_value(&mut args, "--campaign", "SCENARIO.{json,toml}"));
             }
             "--forensics-out" => {
-                forensics_out = Some(args.next().expect("--forensics-out DIR"));
+                forensics_out = Some(flag_value(&mut args, "--forensics-out", "DIR"));
             }
             "--chaos" => {
-                chaos_path = Some(args.next().expect("--chaos SCENARIO.{json,toml}"));
+                chaos_path = Some(flag_value(&mut args, "--chaos", "SCENARIO.{json,toml}"));
             }
-            "--chaos-plans" => {
-                chaos_plans = Some(
-                    args.next()
-                        .expect("--chaos-plans N")
-                        .parse()
-                        .expect("chaos plan count must be u64"),
-                );
-            }
-            "--chaos-corpus" => {
-                chaos_corpus = Some(args.next().expect("--chaos-corpus DIR"));
-            }
+            "--chaos-plans" => chaos_plans = Some(flag_value(&mut args, "--chaos-plans", "N")),
+            "--chaos-corpus" => chaos_corpus = Some(flag_value(&mut args, "--chaos-corpus", "DIR")),
             "--chaos-canary" => chaos_canary = true,
-            "--flight-topk" => {
-                flight_topk = Some(
-                    args.next()
-                        .expect("--flight-topk N")
-                        .parse()
-                        .expect("flight top-K must be a small integer"),
-                );
-            }
+            "--flight-topk" => flight_topk = Some(flag_value(&mut args, "--flight-topk", "N")),
             "--validate-scenario" => {
-                validate_paths.push(args.next().expect("--validate-scenario SCENARIO.{json,toml}"));
+                let what = "SCENARIO.{json,toml}";
+                validate_paths.push(flag_value(&mut args, "--validate-scenario", what));
             }
             "--telemetry-status" => {
                 println!(

@@ -53,3 +53,19 @@ fn telemetry_status_exits_0() {
     assert!(text.lines().any(|l| l.starts_with("telemetry: compiled ")), "{text}");
     assert!(text.lines().any(|l| l.starts_with("flight recorder: compiled ")), "{text}");
 }
+
+#[test]
+fn malformed_flag_values_exit_2_before_running_anything() {
+    for (args, flag) in [
+        (vec!["--quick", "--seed", "abc", "fig1"], "--seed"),
+        (vec!["--quick", "fig1", "--out"], "--out"),
+        (vec!["--quick", "--chaos-plans", "x", "fig1"], "--chaos-plans"),
+    ] {
+        let out = repro(&args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.starts_with(flag), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} ran: {}", String::from_utf8_lossy(&out.stdout));
+    }
+}

@@ -6,15 +6,16 @@
 //! Table 1 cell, a Welford summary + quantile sketch of MOS, and a
 //! half-octave histogram of mouth-to-ear delay. Memory is constant in the
 //! call count: nothing per-call is ever materialised, and the digest
-//! counters reproduce [`table1`] **bit-for-bit** because they carry the
-//! same integer counts the exact computation divides.
+//! counters reproduce [`table1`](crate::population::table1) **bit-for-bit**
+//! because they carry the same integer counts the exact computation
+//! divides.
 
 use crate::population::{CallSampler, RatedCall, SampledCall, Table1, Table1Row};
 use crate::population::relative_delta;
 use crate::scenario::{Arm, Scenario};
 use crate::world::World;
 use diversifi_simcore::{
-    run_campaign_observed, CampaignConfig, CampaignHealth, CampaignProgress, ChannelId,
+    run_campaign, CampaignConfig, CampaignHealth, CampaignProgress, ChannelId,
     DigestSchema, FlightKey, HeartbeatSample, SeedFactory, ShardDigest, WorstK,
 };
 use diversifi_voip::{session_metrics, FpsConfig, WorkloadKind, DEFAULT_DEADLINE, FPS_QOE_POOR};
@@ -440,10 +441,10 @@ where
     let trigger =
         scn.observe.trigger.unwrap_or_else(|| scn.traffic.workload().poor_trigger());
     let seed = scn.seed;
-    let outcome = run_campaign_observed(
+    let outcome = run_campaign(
         cfg,
         &fleet.schema,
-        |i, _scratch, digest, worst| {
+        |i, digest, worst| {
             let score = fleet.fold(&sampler.call(i), digest);
             if score < trigger {
                 worst.offer(FlightKey { score, seed, index: i });

@@ -46,7 +46,7 @@ use crate::world::{RunMode, World, WorldConfig};
 use diversifi_simcore::chaos::{generate_plan, shrink_plan, ChaosBudget, ChaosReproducer};
 use diversifi_simcore::check;
 use diversifi_simcore::{
-    run_campaign_observed, CampaignConfig, DigestSchema, FaultKind, FaultPlan, FlightCapture,
+    run_campaign, CampaignConfig, DigestSchema, FaultKind, FaultPlan, FlightCapture,
     FlightKey, SeedFactory, SimDuration, SimTime,
 };
 use diversifi_voip::DEFAULT_DEADLINE;
@@ -332,10 +332,10 @@ pub fn run_chaos(cfg: &ChaosConfig) -> std::io::Result<ChaosReport> {
     camp.config_fingerprint = cfg.fingerprint();
 
     let seeds = SeedFactory::new(cfg.seed);
-    let outcome = run_campaign_observed(
+    let outcome = run_campaign(
         &camp,
         &schema,
-        |i, _scratch, digest, worst| {
+        |i, digest, worst| {
             let plan = generate_plan(&seeds, i, &cfg.budget);
             digest.add(n_plans, 1);
             if plan.is_empty() {

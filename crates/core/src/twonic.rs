@@ -178,8 +178,8 @@ pub fn run_two_nic_cached(
     cache: &RealizationCache,
 ) -> TwoNicRun {
     let pipeline = PipelineConfig::default();
-    // Both links resolve through one batched lookup: misses materialise
-    // together in the SoA stepper instead of one link at a time.
+    // Both links resolve through one cache lookup (one lock round trip
+    // for the hits, one for inserting the misses).
     let mut reals = cache
         .get_or_materialize_batch(
             &[(&scn.link_a, 0), (&scn.link_b, 1)],

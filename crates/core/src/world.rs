@@ -684,22 +684,14 @@ impl<'a> World<'a> {
             }
         }
 
+        // Everything from here to the report is post-run reduction.
+        let _reduce = telemetry::span(Phase::MetricsReduce);
+
         // Horizon audit: every emitted stream copy must have reached
         // exactly one fate or still be in a stage the devices corroborate.
-        // The DEF association never carries the stream, so the audited
-        // queues are each client's primary station on AP 0 and secondary
-        // station on AP 1.
-        let queued_truth: usize = self
-            .clients
-            .iter()
-            .map(|c| {
-                self.aps[0].queue_len(c.primary)
-                    + self.aps[0].hw_len(c.primary)
-                    + self.aps[1].queue_len(c.secondary)
-                    + self.aps[1].hw_len(c.secondary)
-            })
-            .sum();
-        self.ledger.finalize(queued_truth, self.mbox.buffered(STREAM_FLOW), 2);
+        if diversifi_simcore::check::enabled() {
+            self.ledger.finalize(self.queued_truth(), self.mbox.buffered(STREAM_FLOW), 2);
+        }
         self.tick_ledger.finalize();
 
         // Snapshot every component's instruments into the active telemetry
@@ -960,10 +952,46 @@ impl<'a> World<'a> {
             }
             Ev::InputTick { client, tick } => self.on_input_tick(now, client, tick),
             Ev::ApReboot { ap, up, outage, window } => {
+                self.audit_ledger_occupancy();
                 self.on_ap_reboot(now, ap, up, outage, window)
             }
-            Ev::FaultStart { window } => self.on_fault_edge(now, window, true),
-            Ev::FaultEnd { window } => self.on_fault_edge(now, window, false),
+            Ev::FaultStart { window } => {
+                self.audit_ledger_occupancy();
+                self.on_fault_edge(now, window, true)
+            }
+            Ev::FaultEnd { window } => {
+                self.audit_ledger_occupancy();
+                self.on_fault_edge(now, window, false)
+            }
+        }
+    }
+
+    /// Stream copies the devices hold in the audited AP queues (driver +
+    /// hardware). The DEF association never carries the stream, so these
+    /// are each client's primary station on AP 0 and secondary station on
+    /// AP 1.
+    fn queued_truth(&self) -> usize {
+        self.clients
+            .iter()
+            .map(|c| {
+                self.aps[0].queue_len(c.primary)
+                    + self.aps[0].hw_len(c.primary)
+                    + self.aps[1].queue_len(c.secondary)
+                    + self.aps[1].hw_len(c.secondary)
+            })
+            .sum()
+    }
+
+    /// Mid-run ledger audit, run just before every fault edge acts. The
+    /// queues are live there (a sleeping station's power-save buffer is
+    /// full), whereas by the horizon the drain tail has emptied them and
+    /// right after an AP power cycle they are flushed, so only an audit
+    /// here can catch a client whose queued copies the ledger lost track
+    /// of. A miscounted flush stays in the ledger and surfaces at the next
+    /// edge or at the horizon.
+    fn audit_ledger_occupancy(&self) {
+        if diversifi_simcore::check::enabled() {
+            self.ledger.audit_occupancy(self.queued_truth(), self.mbox.buffered(STREAM_FLOW), 2);
         }
     }
 

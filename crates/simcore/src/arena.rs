@@ -3,9 +3,8 @@
 //! A corpus sweep builds and tears down one `World` per task — and every
 //! construction used to pay dozens of heap allocations: the event queue's
 //! heap, slab and free list, the packet trace, the recovery/fault
-//! bookkeeping vectors. [`WorkerArena`] is the antidote, following the
-//! same per-worker contract as [`MetricsScratch`](crate::MetricsScratch):
-//! each sweep worker owns one arena (see `SweepRunner::run_indexed_with`),
+//! bookkeeping vectors. [`WorkerArena`] is the antidote: each sweep
+//! worker owns one arena (see `SweepRunner::run_indexed_with`),
 //! lends containers to the world under construction, and takes them back —
 //! cleared but with capacity intact — when the run finishes. After the
 //! first task on a worker, world construction is a handful of pool pops
@@ -22,8 +21,9 @@
 //! An arena is *only* capacity: every [`take`](WorkerArena::take) returns
 //! a value indistinguishable from [`Recycle::fresh`] except for reserved
 //! memory, so results never depend on which tasks a worker ran earlier.
-//! This is the same contract `MetricsScratch` obeys, and the parity
-//! suites (`sweep_equivalence`, `realization_parity`) pin it end to end.
+//! This is the per-worker state rule of `SweepRunner::run_indexed_with`,
+//! and the parity suites (`sweep_equivalence`, `realization_parity`) pin
+//! it end to end.
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
@@ -73,8 +73,7 @@ pub struct ArenaStats {
 
 /// A per-worker pool of recycled containers, keyed by type.
 ///
-/// Not `Sync` on purpose: like `MetricsScratch`, one arena belongs to one
-/// sweep worker. See the [module docs](self) for the determinism
+/// Not `Sync` on purpose: one arena belongs to one sweep worker. See the [module docs](self) for the determinism
 /// contract.
 #[derive(Debug, Default)]
 pub struct WorkerArena {

@@ -1,13 +1,12 @@
 //! Sharded million-call campaign engine with checkpoint/resume.
 //!
 //! A *campaign* folds `n_calls` independent, seeded calls into one
-//! [`ShardDigest`](crate::digest::ShardDigest). The call range is cut into
-//! contiguous shards; shards run in parallel on a [`SweepRunner`], each one
-//! folded serially in index order into its own digest, and the per-shard
+//! [`ShardDigest`]. The call range is cut into contiguous shards; shards
+//! run in parallel on a [`SweepRunner`], each one folded serially in index
+//! order into its own digest, and the per-shard
 //! digests merge in shard order — so the campaign digest is a pure
 //! function of `(fold, n_calls, shard_size)` at **any** thread count, and
-//! peak memory is one digest plus one [`MetricsScratch`] per worker,
-//! independent of `n_calls`.
+//! peak memory is one batch of shard digests, independent of `n_calls`.
 //!
 //! # Checkpoint/resume
 //!
@@ -24,8 +23,8 @@
 //!
 //! # Flight recorder and heartbeat
 //!
-//! [`run_campaign_observed`] extends the fold with a per-shard
-//! [`WorstK`] flight selector (merged in shard index order, serialised
+//! [`run_campaign`] hands the fold a per-shard [`WorstK`] flight
+//! selector (merged in shard index order, serialised
 //! into shard checkpoints bit-exactly — see [`crate::flight`]) and a
 //! per-shard [`HeartbeatSample`] callback carrying wall-clock health
 //! counters. The selector reads only the scores the fold already
@@ -35,7 +34,7 @@
 //! a different retention can never silently resume into this run.
 //!
 //! The engine itself never prints; callers observe progress through the
-//! [`progress`](CampaignConfig::run) callback (the `repro --campaign`
+//! `progress` callback of [`run_campaign`] (the `repro --campaign`
 //! front-end turns it into a calls/sec ticker) and health through the
 //! heartbeat callback.
 //!
@@ -83,7 +82,6 @@ use serde::{Deserialize, Serialize, Value};
 use crate::digest::{DigestSchema, ShardDigest};
 use crate::flight::WorstK;
 use crate::metrics::LogHistogram;
-use crate::scratch::MetricsScratch;
 use crate::par::SweepRunner;
 
 /// How often (in calls) workers publish progress between shard
@@ -180,24 +178,10 @@ impl CampaignConfig {
         }
         id
     }
-
-    /// Run the campaign. See [`run_campaign`].
-    pub fn run<F, P>(
-        &self,
-        schema: &DigestSchema,
-        per_call: F,
-        progress: P,
-    ) -> std::io::Result<CampaignOutcome>
-    where
-        F: Fn(u64, &mut MetricsScratch, &mut ShardDigest) + Sync,
-        P: Fn(&CampaignProgress) + Sync,
-    {
-        run_campaign(self, schema, per_call, progress)
-    }
 }
 
-/// A progress snapshot, published on shard completion and every
-/// [`PROGRESS_CHUNK`] calls in between.
+/// A progress snapshot, published on shard completion and every few
+/// thousand calls in between.
 #[derive(Clone, Copy, Debug)]
 pub struct CampaignProgress {
     /// Calls folded so far (monotone, across all workers).
@@ -420,10 +404,13 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// already holds, run the remaining shards on a [`SweepRunner`], and merge
 /// everything in shard order.
 ///
-/// `per_call(i, scratch, digest)` must be a pure function of `i` given the
+/// `per_call(i, digest, worst)` must be a pure function of `i` given the
 /// campaign configuration — the same contract as every other sweep, and
-/// what makes resumption bit-exact. The scratch is the usual per-worker
-/// metrics buffer bundle; the digest is the shard's accumulator.
+/// what makes resumption bit-exact. The digest is the shard's
+/// accumulator; `worst` is the shard's flight selector (inert when
+/// `cfg.flight_k == 0`). `heartbeat` is invoked from worker threads as
+/// each freshly executed shard completes. The merged selector and the
+/// aggregated [`CampaignHealth`] land on the outcome.
 ///
 /// Memory is **independent of the campaign size**: shards are produced in
 /// index-ordered batches of a few per worker and merged into a single
@@ -432,36 +419,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// same RSS. The merge consumes shards strictly in index order, which is
 /// what keeps fingerprints bit-identical across thread counts and
 /// resume/uninterrupted runs.
-///
-/// This entry point ignores `flight_k` (the fold never sees a selector);
-/// use [`run_campaign_observed`] for the flight recorder and heartbeat.
-pub fn run_campaign<F, P>(
-    cfg: &CampaignConfig,
-    schema: &DigestSchema,
-    per_call: F,
-    progress: P,
-) -> std::io::Result<CampaignOutcome>
-where
-    F: Fn(u64, &mut MetricsScratch, &mut ShardDigest) + Sync,
-    P: Fn(&CampaignProgress) + Sync,
-{
-    let mut cfg = cfg.clone();
-    cfg.flight_k = 0;
-    run_campaign_observed(
-        &cfg,
-        schema,
-        |i, scratch, digest, _worst| per_call(i, scratch, digest),
-        progress,
-        |_| {},
-    )
-}
-
-/// [`run_campaign`] with the flight recorder and heartbeat attached:
-/// the fold additionally receives the shard's [`WorstK`] selector
-/// (inert when `cfg.flight_k == 0`), and `heartbeat` is invoked from
-/// worker threads as each freshly executed shard completes. The merged
-/// selector and aggregated [`CampaignHealth`] land on the outcome.
-pub fn run_campaign_observed<F, P, H>(
+pub fn run_campaign<F, P, H>(
     cfg: &CampaignConfig,
     schema: &DigestSchema,
     per_call: F,
@@ -469,7 +427,7 @@ pub fn run_campaign_observed<F, P, H>(
     heartbeat: H,
 ) -> std::io::Result<CampaignOutcome>
 where
-    F: Fn(u64, &mut MetricsScratch, &mut ShardDigest, &mut WorstK) + Sync,
+    F: Fn(u64, &mut ShardDigest, &mut WorstK) + Sync,
     P: Fn(&CampaignProgress) + Sync,
     H: Fn(&HeartbeatSample) + Sync,
 {
@@ -579,7 +537,7 @@ where
         let n = batch.min(shards_total - next);
         let first_shard = next;
         let results: Vec<ShardResult> =
-            runner.run_indexed_with(n, MetricsScratch::new, |j, scratch| {
+            runner.run_indexed(n, |j| {
                 let s = first_shard + j;
                 let (first, len) = cfg.shard_range(s);
                 if valid[s] {
@@ -616,7 +574,7 @@ where
                     let mut worst = WorstK::new(cfg.flight_k);
                     let mut since_publish = 0u64;
                     for i in first..first + len {
-                        per_call(i, scratch, &mut digest, &mut worst);
+                        per_call(i, &mut digest, &mut worst);
                         since_publish += 1;
                         if since_publish == PROGRESS_CHUNK {
                             let done = calls_done.fetch_add(since_publish, Ordering::Relaxed)
@@ -629,12 +587,7 @@ where
                 }));
                 let (digest, worst, since_publish) = match folded {
                     Ok(v) => v,
-                    Err(payload) => {
-                        // The scratch may have been abandoned mid-mutation;
-                        // hand the worker a fresh one before its next task.
-                        *scratch = MetricsScratch::new();
-                        return ShardResult::Quarantined(panic_message(payload));
-                    }
+                    Err(payload) => return ShardResult::Quarantined(panic_message(payload)),
                 };
                 let shard_wall_ns = elapsed_ns(shard_start);
                 let done =
@@ -766,9 +719,9 @@ mod tests {
         (s, [a, b, c])
     }
 
-    fn fold(ids: [ChannelId; 3]) -> impl Fn(u64, &mut MetricsScratch, &mut ShardDigest) + Sync {
+    fn fold(ids: [ChannelId; 3]) -> impl Fn(u64, &mut ShardDigest, &mut WorstK) + Sync {
         let seeds = SeedFactory::new(0xCA3A16);
-        move |i, _scratch, d| {
+        move |i, d, _worst| {
             let mut rng = seeds.stream("call", i);
             d.add(ids[0], 1);
             let x = rng.normal(5.0, 2.0);
@@ -782,9 +735,9 @@ mod tests {
     fn observed_fold(
         ids: [ChannelId; 3],
         trigger: f64,
-    ) -> impl Fn(u64, &mut MetricsScratch, &mut ShardDigest, &mut WorstK) + Sync {
+    ) -> impl Fn(u64, &mut ShardDigest, &mut WorstK) + Sync {
         let seeds = SeedFactory::new(0xCA3A16);
-        move |i, _scratch, d, worst| {
+        move |i, d, worst| {
             let mut rng = seeds.stream("call", i);
             d.add(ids[0], 1);
             let x = rng.normal(5.0, 2.0);
@@ -804,7 +757,7 @@ mod tests {
             let mut cfg = CampaignConfig::new(10_000);
             cfg.shard_size = 768;
             cfg.threads = threads;
-            let out = cfg.run(&schema, fold(ids), |_| {}).unwrap();
+            let out = run_campaign(&cfg, &schema, fold(ids), |_| {}, |_| {}).unwrap();
             assert!(out.complete);
             assert_eq!(out.shards_run, cfg.shards());
             fps.push(out.fingerprint.unwrap());
@@ -819,13 +772,13 @@ mod tests {
         let mut cfg = CampaignConfig::new(n);
         cfg.shard_size = 512;
         cfg.threads = 4;
-        let out = cfg.run(&schema, fold(ids), |_| {}).unwrap();
+        let out = run_campaign(&cfg, &schema, fold(ids), |_| {}, |_| {}).unwrap();
 
         let f = fold(ids);
-        let mut scratch = MetricsScratch::new();
         let mut whole = ShardDigest::new(&schema, 0, n);
+        let mut worst = WorstK::new(0);
         for i in 0..n {
-            f(i, &mut scratch, &mut whole);
+            f(i, &mut whole, &mut worst);
         }
         // The sharded sketch differs from the single-pass sketch only by
         // compaction boundaries; counters and summaries must agree
@@ -847,12 +800,17 @@ mod tests {
         cfg.shard_size = 1024;
         cfg.threads = 2;
         let max_seen = AtomicU64::new(0);
-        let out = cfg
-            .run(&schema, fold(ids), |p| {
+        let out = run_campaign(
+            &cfg,
+            &schema,
+            fold(ids),
+            |p| {
                 max_seen.fetch_max(p.calls_done, Ordering::Relaxed);
                 assert!(p.shards_done <= p.shards_total);
-            })
-            .unwrap();
+            },
+            |_| {},
+        )
+        .unwrap();
         assert!(out.complete);
         assert_eq!(max_seen.load(Ordering::Relaxed), 9000);
     }
@@ -872,12 +830,12 @@ mod tests {
         cfg.threads = 4;
 
         // Uninterrupted reference (no checkpointing at all).
-        let reference = cfg.run(&schema, fold(ids), |_| {}).unwrap();
+        let reference = run_campaign(&cfg, &schema, fold(ids), |_| {}, |_| {}).unwrap();
 
         // Interrupted: run only 5 of the 12 shards, then "kill".
         cfg.checkpoint_dir = Some(dir.clone());
         cfg.max_new_shards = Some(5);
-        let partial = cfg.run(&schema, fold(ids), |_| {}).unwrap();
+        let partial = run_campaign(&cfg, &schema, fold(ids), |_| {}, |_| {}).unwrap();
         assert!(!partial.complete);
         assert_eq!(partial.shards_run, 5);
         assert!(partial.digest.is_none());
@@ -889,7 +847,7 @@ mod tests {
 
         // Resume to completion.
         cfg.max_new_shards = None;
-        let resumed = cfg.run(&schema, fold(ids), |_| {}).unwrap();
+        let resumed = run_campaign(&cfg, &schema, fold(ids), |_| {}, |_| {}).unwrap();
         assert!(resumed.complete);
         // 3 valid checkpoints survive (5 written − 2 corrupted).
         assert_eq!(resumed.shards_resumed, 3);
@@ -913,11 +871,11 @@ mod tests {
         cfg.shard_size = 400;
         cfg.checkpoint_dir = Some(dir.clone());
         cfg.config_fingerprint = 1;
-        cfg.run(&schema, fold(ids), |_| {}).unwrap();
+        run_campaign(&cfg, &schema, fold(ids), |_| {}, |_| {}).unwrap();
 
         // Same directory, different config fingerprint: nothing resumes.
         cfg.config_fingerprint = 2;
-        let out = cfg.run(&schema, fold(ids), |_| {}).unwrap();
+        let out = run_campaign(&cfg, &schema, fold(ids), |_| {}, |_| {}).unwrap();
         assert_eq!(out.shards_resumed, 0);
         assert_eq!(out.shards_run, cfg.shards());
 
@@ -937,7 +895,7 @@ mod tests {
             cfg.shard_size = 768;
             cfg.threads = threads;
             cfg.flight_k = 6;
-            let out = run_campaign_observed(
+            let out = run_campaign(
                 &cfg,
                 &schema,
                 observed_fold(ids, 2.0),
@@ -959,7 +917,7 @@ mod tests {
         // Recorder off: identical digest fingerprint.
         let mut cfg = CampaignConfig::new(10_000);
         cfg.shard_size = 768;
-        let off = cfg.run(&schema, fold(ids), |_| {}).unwrap();
+        let off = run_campaign(&cfg, &schema, fold(ids), |_| {}, |_| {}).unwrap();
         assert!(fps.iter().all(|fp| *fp == off.fingerprint.unwrap()));
     }
 
@@ -982,20 +940,20 @@ mod tests {
         cfg.flight_k = 5;
 
         let reference =
-            run_campaign_observed(&cfg, &schema, observed_fold(ids, 3.0), |_| {}, |_| {})
+            run_campaign(&cfg, &schema, observed_fold(ids, 3.0), |_| {}, |_| {})
                 .unwrap();
 
         cfg.checkpoint_dir = Some(dir.clone());
         cfg.max_new_shards = Some(5);
         let partial =
-            run_campaign_observed(&cfg, &schema, observed_fold(ids, 3.0), |_| {}, |_| {})
+            run_campaign(&cfg, &schema, observed_fold(ids, 3.0), |_| {}, |_| {})
                 .unwrap();
         assert!(!partial.complete);
         assert!(partial.flight.is_none(), "incomplete campaigns offer no selection");
 
         cfg.max_new_shards = None;
         let hb_shards = AtomicUsize::new(0);
-        let resumed = run_campaign_observed(
+        let resumed = run_campaign(
             &cfg,
             &schema,
             observed_fold(ids, 3.0),
@@ -1022,7 +980,7 @@ mod tests {
         // recorder-on checkpoint (different campaign id), not merge them.
         let mut off = cfg.clone();
         off.flight_k = 0;
-        let out = off.run(&schema, fold(ids), |_| {}).unwrap();
+        let out = run_campaign(&off, &schema, fold(ids), |_| {}, |_| {}).unwrap();
         assert_eq!(out.shards_resumed, 0);
         assert_eq!(out.fingerprint, reference.fingerprint);
 
@@ -1034,11 +992,11 @@ mod tests {
     fn poisoned_fold(
         ids: [ChannelId; 3],
         poison: u64,
-    ) -> impl Fn(u64, &mut MetricsScratch, &mut ShardDigest) + Sync {
+    ) -> impl Fn(u64, &mut ShardDigest, &mut WorstK) + Sync {
         let inner = fold(ids);
-        move |i, scratch, d| {
+        move |i, d, worst| {
             assert!(i != poison, "call {i} poisoned");
-            inner(i, scratch, d);
+            inner(i, d, worst);
         }
     }
 
@@ -1053,7 +1011,7 @@ mod tests {
             cfg.shard_size = 500;
             cfg.threads = threads;
             // Call 1700 lives in shard 3.
-            let out = cfg.run(&schema, poisoned_fold(ids, 1700), |_| {}).unwrap();
+            let out = run_campaign(&cfg, &schema, poisoned_fold(ids, 1700), |_| {}, |_| {}).unwrap();
             assert!(!out.complete, "threads={threads}");
             assert!(out.digest.is_none() && out.fingerprint.is_none());
             assert_eq!(out.quarantined.len(), 1);
@@ -1092,14 +1050,14 @@ mod tests {
 
         // Unpoisoned references: one without checkpoints (fingerprint),
         // one with (per-shard checkpoint bytes).
-        let reference = cfg.run(&schema, fold(ids), |_| {}).unwrap();
+        let reference = run_campaign(&cfg, &schema, fold(ids), |_| {}, |_| {}).unwrap();
         cfg.checkpoint_dir = Some(clean_dir.clone());
-        let clean = cfg.run(&schema, fold(ids), |_| {}).unwrap();
+        let clean = run_campaign(&cfg, &schema, fold(ids), |_| {}, |_| {}).unwrap();
         assert_eq!(clean.fingerprint, reference.fingerprint);
 
         // Poisoned run: shard 3 dies, everything else checkpoints.
         cfg.checkpoint_dir = Some(poisoned_dir.clone());
-        let poisoned = cfg.run(&schema, poisoned_fold(ids, 1700), |_| {}).unwrap();
+        let poisoned = run_campaign(&cfg, &schema, poisoned_fold(ids, 1700), |_| {}, |_| {}).unwrap();
         assert!(!poisoned.complete);
         assert_eq!(poisoned.quarantined.len(), 1);
         assert_eq!(poisoned.quarantined[0].shard, 3);
@@ -1117,7 +1075,7 @@ mod tests {
         }
 
         // Resume with the fixed fold: only the quarantined shard re-runs.
-        let resumed = cfg.run(&schema, fold(ids), |_| {}).unwrap();
+        let resumed = run_campaign(&cfg, &schema, fold(ids), |_| {}, |_| {}).unwrap();
         assert!(resumed.complete);
         assert!(resumed.quarantined.is_empty());
         assert_eq!(resumed.shards_resumed, cfg.shards() - 1);
@@ -1135,10 +1093,10 @@ mod tests {
         let (schema, ids) = schema();
         let mut cfg = CampaignConfig::new(4000);
         cfg.shard_size = 500;
-        let off = cfg.run(&schema, fold(ids), |_| {}).unwrap();
+        let off = run_campaign(&cfg, &schema, fold(ids), |_| {}, |_| {}).unwrap();
         assert!(off.slow_shards.is_empty(), "no watchdog, no flags");
         cfg.watchdog_ns = Some(0); // every fold exceeds 0 ns
-        let on = cfg.run(&schema, fold(ids), |_| {}).unwrap();
+        let on = run_campaign(&cfg, &schema, fold(ids), |_| {}, |_| {}).unwrap();
         assert!(on.complete);
         assert_eq!(on.fingerprint, off.fingerprint);
         assert_eq!(on.slow_shards, (0..cfg.shards()).collect::<Vec<_>>());
@@ -1164,7 +1122,7 @@ mod tests {
         cfg.shard_size = 500;
         cfg.checkpoint_dir = Some(dir.clone());
         cfg.io_retries = 1;
-        let out = cfg.run(&schema, fold(ids), |_| {}).unwrap();
+        let out = run_campaign(&cfg, &schema, fold(ids), |_| {}, |_| {}).unwrap();
         assert!(out.complete, "IO failure must not block the fold");
         assert_eq!(out.checkpoint_errors, 1);
         assert!(out.digest.is_some());

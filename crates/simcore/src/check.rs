@@ -13,7 +13,8 @@
 //!   every stream-packet copy that enters the network must end in exactly
 //!   one fate (delivered, queue-dropped, air-lost, ring-rolled, or still
 //!   in flight at the horizon), and the ledger's view of queue occupancy
-//!   must match the devices' ground truth at finalisation.
+//!   must match the devices' ground truth whenever the world audits it
+//!   (at every fault edge and at finalisation).
 //!
 //! The audit layer **observes only**: it never draws randomness, schedules
 //! events, or mutates simulation state, so audit-on and audit-off runs are
@@ -59,8 +60,9 @@ pub fn audit_failure(msg: &str, file: &str, line: u32) -> ! {
     panic!("simulation invariant violated [{file}:{line}]: {msg}");
 }
 
-/// Run `f`, converting any panic — a tripped [`sim_assert!`], a
-/// [`PacketLedger`] closure failure, or a plain engine bug — into an
+/// Run `f`, converting any panic — a tripped
+/// [`sim_assert!`](crate::sim_assert), a [`PacketLedger`] closure
+/// failure, or a plain engine bug — into an
 /// `Err` carrying the panic message. This is the bridge the chaos engine
 /// uses to treat invariant violations as *observations* (an
 /// `"engine-panic"` oracle verdict attributable to one fault plan)
@@ -154,10 +156,11 @@ macro_rules! sim_assert_eq {
 ///
 /// The world calls one transition method per hand-off; each keeps the
 /// conservation identity `emitted == Σ stages + Σ fates` and checks
-/// non-negativity. At the end of the run, [`PacketLedger::finalize`]
-/// cross-checks the ledger's idea of queue and ring occupancy against the
-/// devices' ground truth — which is what actually catches a forgotten
-/// drop path or a double-counted delivery.
+/// non-negativity. [`PacketLedger::audit_occupancy`] cross-checks the
+/// ledger's idea of queue and ring occupancy against the devices' ground
+/// truth — which is what actually catches a forgotten drop path or a
+/// double-counted delivery — and [`PacketLedger::finalize`] runs that
+/// audit at the horizon together with the conservation identity.
 ///
 /// Counter updates are unconditional (a handful of integer adds; they can
 /// never perturb simulation behaviour); only the *assertions* are gated on
@@ -343,15 +346,15 @@ impl PacketLedger {
         self.in_transit + self.queued + self.in_tx + self.buffered
     }
 
-    /// End-of-run audit: the conservation identity must close, and the
+    /// Occupancy audit, valid at any instant between two events: the
     /// ledger's queue/ring occupancy must match the devices' ground truth.
     ///
     /// * `queued_truth` — total frames actually sitting in the audited AP
-    ///   queues (driver + hardware) at the horizon.
+    ///   queues (driver + hardware).
     /// * `buffered_truth` — packets actually in the audited middlebox rings.
     /// * `max_in_tx` — upper bound on concurrently transmitting copies
     ///   (one per radio).
-    pub fn finalize(&self, queued_truth: usize, buffered_truth: usize, max_in_tx: i64) {
+    pub fn audit_occupancy(&self, queued_truth: usize, buffered_truth: usize, max_in_tx: i64) {
         if !enabled() {
             return;
         }
@@ -375,6 +378,15 @@ impl PacketLedger {
             self.in_tx
         );
         sim_assert!(self.in_transit >= 0, "negative in-transit count: {}", self.in_transit);
+    }
+
+    /// End-of-run audit: [`audit_occupancy`](Self::audit_occupancy) at the
+    /// horizon, plus the conservation identity.
+    pub fn finalize(&self, queued_truth: usize, buffered_truth: usize, max_in_tx: i64) {
+        if !enabled() {
+            return;
+        }
+        self.audit_occupancy(queued_truth, buffered_truth, max_in_tx);
         sim_assert_eq!(
             self.emitted,
             self.terminal() + self.in_flight(),

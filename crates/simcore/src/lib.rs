@@ -11,8 +11,10 @@
 //!   and A/B comparisons are paired.
 //! - [`stats`] — summaries, ECDFs, burst histograms, auto-/cross-correlation
 //!   (the machinery behind every figure in the paper).
-//! - [`MetricsScratch`] — reusable per-worker buffers so corpus-scale
-//!   metric evaluation runs allocation-free inside sweep workers.
+//! - [`SweepRunner`] — the deterministic parallel map every sweep and
+//!   campaign runs on; output is bit-identical at any worker count. A
+//!   worker's only reusable state is its [`WorkerArena`] (plus whatever
+//!   pure-function memo, such as a realisation cache, the caller keeps).
 //! - [`telemetry`] — zero-alloc structured tracing ([`TraceEvent`] is a
 //!   32-byte `Copy` record), a [`metrics`] registry of counters / gauges /
 //!   log-scale histograms, span-based event-loop self-profiling, and
@@ -58,7 +60,6 @@ pub mod metrics;
 pub mod par;
 mod queue;
 mod rng;
-pub mod scratch;
 pub mod stats;
 pub mod telemetry;
 mod time;
@@ -66,8 +67,8 @@ mod trace;
 
 pub use arena::WorkerArena;
 pub use campaign::{
-    run_campaign, run_campaign_observed, CampaignConfig, CampaignHealth, CampaignOutcome,
-    CampaignProgress, HeartbeatSample, ShardQuarantine,
+    run_campaign, CampaignConfig, CampaignHealth, CampaignOutcome, CampaignProgress,
+    HeartbeatSample, ShardQuarantine,
 };
 pub use chaos::{
     generate_plan, max_concurrency, outage_fraction, shrink_plan, ChaosBudget, ChaosReproducer,
@@ -80,7 +81,6 @@ pub use metrics::{LogHistogram, MetricsRegistry};
 pub use par::SweepRunner;
 pub use queue::{EventId, EventQueue};
 pub use rng::{RngStream, SeedFactory};
-pub use scratch::MetricsScratch;
 pub use stats::{
     autocorrelation, cross_correlation, mean, pearson, quantile_unsorted, BucketHistogram, Ecdf,
     Summary,

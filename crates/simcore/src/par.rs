@@ -8,7 +8,8 @@
 //!
 //! # Determinism contract
 //!
-//! `run`/`run_indexed`/`run_seeded` guarantee **bit-identical output
+//! Every map (`run`, `run_indexed`, `run_seeded_indexed`, the `_with`
+//! and `_traced` variants) guarantees **bit-identical output
 //! regardless of thread count**, because:
 //!
 //! 1. every task is a pure function of its index and input — RNG state is
@@ -91,45 +92,7 @@ impl SweepRunner {
         R: Send + Sync,
         F: Fn(usize) -> R + Sync,
     {
-        if n == 0 {
-            return Vec::new();
-        }
-        let workers = self.threads.min(n);
-        if workers <= 1 {
-            return (0..n).map(f).collect();
-        }
-
-        let slots: Vec<OnceLock<R>> = (0..n).map(|_| OnceLock::new()).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        // Each index is claimed exactly once, so the slot
-                        // is always empty here.
-                        assert!(slots[i].set(f(i)).is_ok(), "sweep slot {i} written twice");
-                    })
-                })
-                .collect();
-            for handle in handles {
-                // Re-raise a task panic with its original payload instead
-                // of scope's generic "a scoped thread panicked".
-                if let Err(payload) = handle.join() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.into_inner().unwrap_or_else(|| panic!("sweep task {i} did not complete"))
-            })
-            .collect()
+        self.run_indexed_with(n, || (), |i, _: &mut ()| f(i))
     }
 
     /// Like [`run_indexed`](Self::run_indexed), but hands every task a
@@ -169,6 +132,8 @@ impl SweepRunner {
                             if i >= n {
                                 break;
                             }
+                            // Each index is claimed exactly once, so the
+                            // slot is always empty here.
                             assert!(
                                 slots[i].set(f(i, &mut scratch)).is_ok(),
                                 "sweep slot {i} written twice"
@@ -178,6 +143,8 @@ impl SweepRunner {
                 })
                 .collect();
             for handle in handles {
+                // Re-raise a task panic with its original payload instead
+                // of scope's generic "a scoped thread panicked".
                 if let Err(payload) = handle.join() {
                     std::panic::resume_unwind(payload);
                 }
@@ -216,44 +183,9 @@ impl SweepRunner {
             !telemetry::active(),
             "run_indexed_traced would clobber the active telemetry session"
         );
-        let out = self.run_indexed_with(n, || (), |i, _scratch: &mut ()| {
+        let out = self.run_indexed(n, |i| {
             telemetry::begin(capacity);
             let r = f(i);
-            (r, telemetry::end())
-        });
-        let mut merged = MergedTelemetry::default();
-        let mut results = Vec::with_capacity(out.len());
-        for (run, (r, session)) in out.into_iter().enumerate() {
-            results.push(r);
-            merged.absorb(run as u32, session);
-        }
-        merged.finish();
-        (results, merged)
-    }
-
-    /// Traced variant of [`run_with`](Self::run_with): per-worker scratch
-    /// *and* a telemetry session per task, merged deterministically. See
-    /// [`run_indexed_traced`](Self::run_indexed_traced) for the contract.
-    pub fn run_with_traced<T, S, R, I, F>(
-        &self,
-        tasks: &[T],
-        capacity: usize,
-        init: I,
-        f: F,
-    ) -> (Vec<R>, MergedTelemetry)
-    where
-        T: Sync,
-        R: Send + Sync,
-        I: Fn() -> S + Sync,
-        F: Fn(usize, &T, &mut S) -> R + Sync,
-    {
-        debug_assert!(
-            !telemetry::active(),
-            "run_with_traced would clobber the active telemetry session"
-        );
-        let out = self.run_indexed_with(tasks.len(), init, |i, scratch| {
-            telemetry::begin(capacity);
-            let r = f(i, &tasks[i], scratch);
             (r, telemetry::end())
         });
         let mut merged = MergedTelemetry::default();
@@ -286,20 +218,6 @@ impl SweepRunner {
         F: Fn(usize, &T) -> R + Sync,
     {
         self.run_indexed(tasks.len(), |i| f(i, &tasks[i]))
-    }
-
-    /// Map `f` over an indexed task slice, handing task `i` its own
-    /// deterministic seed sub-stream `seeds.subfactory(label, i)`.
-    ///
-    /// This is the canonical shape for simulation sweeps: the sub-factory
-    /// derivation is what makes results independent of worker count.
-    pub fn run_seeded<T, R, F>(&self, seeds: &SeedFactory, label: &str, tasks: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send + Sync,
-        F: Fn(usize, &T, SeedFactory) -> R + Sync,
-    {
-        self.run(tasks, |i, task| f(i, task, seeds.subfactory(label, i as u64)))
     }
 
     /// Like [`run_indexed`](Self::run_indexed) but with a per-index seed
@@ -481,27 +399,6 @@ mod tests {
             let run_total = e.run as u64 + 1;
             assert!(e.seq + 2 >= run_total, "run {} kept seq {}", e.run, e.seq);
         }
-    }
-
-    #[test]
-    fn run_with_traced_combines_scratch_and_sessions() {
-        if !crate::telemetry::TRACE_COMPILED {
-            return;
-        }
-        let tasks: Vec<u64> = (0..7).map(|i| i * 3).collect();
-        let (results, merged) = SweepRunner::new(4).run_with_traced(
-            &tasks,
-            16,
-            Vec::<u64>::new,
-            |i, &t, buf| {
-                buf.clear();
-                buf.push(t);
-                traced_task(i);
-                buf[0]
-            },
-        );
-        assert_eq!(results, tasks);
-        assert_eq!(merged.events.len(), (1..=7).sum::<usize>());
     }
 
     #[test]

@@ -144,9 +144,8 @@ impl Ecdf {
 ///
 /// Returns exactly the value [`Ecdf::quantile`] would return after
 /// `Ecdf::new(xs.to_vec())` — the nearest-rank index is computed the same
-/// way — but in O(n) and reusing the caller's buffer, which is the point:
-/// sweep workers feed their scratch buffer here instead of building a
-/// sorted [`Ecdf`] per quantile. The slice is reordered (partially sorted
+/// way — but in O(n) and reusing the caller's buffer instead of building
+/// a sorted [`Ecdf`] per quantile. The slice is reordered (partially sorted
 /// around the selected rank); NaNs panic, as in [`Ecdf::new`].
 pub fn quantile_unsorted(xs: &mut [f64], q: f64) -> f64 {
     assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");

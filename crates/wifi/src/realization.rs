@@ -9,7 +9,9 @@
 //! ([`ChannelRealization`]) that [`crate::link::LinkModel`] replays read-only,
 //! and provides a small LRU cache ([`RealizationCache`]) so sweep drivers
 //! whose arms share channel parameters stop recomputing the radio
-//! environment entirely.
+//! environment entirely. [`ChannelRealization::materialize`] is the one
+//! body that builds a realisation; the batch and cache entry points map
+//! over it.
 //!
 //! # Replay ≡ lazy sampling
 //!
@@ -91,6 +93,12 @@ impl ChannelRealization {
     /// Materialise the realisation for `(cfg, seeds, index)` over
     /// `[0, horizon]`, consuming the same `"link-ge"` / `"link-shadow"`
     /// streams a live [`crate::link::LinkModel`] would.
+    ///
+    /// On the fixed [`SHADOW_TICK`] grid the OU transition coefficients are
+    /// constants, so they are computed once per track
+    /// ([`OrnsteinUhlenbeck::transition_coeffs`]) and every tick is one
+    /// [`OrnsteinUhlenbeck::step_grid`] — the same expressions `at` would
+    /// evaluate, hence bit-identical to a live [`ShadowCursor`].
     pub fn materialize(
         cfg: &LinkConfig,
         seeds: &SeedFactory,
@@ -104,72 +112,23 @@ impl ChannelRealization {
             cfg.shadow_tau,
             seeds.stream("link-shadow", index),
         );
+        let (a, noise_sd) = ou.transition_coeffs(SHADOW_TICK.as_secs_f64());
         let ticks = horizon.as_nanos() / SHADOW_TICK.as_nanos();
-        let shadow = (0..=ticks)
-            .map(|k| ou.at(SimTime::from_nanos(k * SHADOW_TICK.as_nanos())))
-            .collect();
+        let mut shadow = Vec::with_capacity(ticks as usize + 1);
+        shadow.push(ou.at(SimTime::ZERO));
+        shadow.extend((1..=ticks).map(|_| ou.step_grid(SHADOW_TICK, a, noise_sd)));
         ChannelRealization { horizon, ge, shadow }
     }
 
-    /// Materialise realisations for several links of one world in a single
-    /// batched pass — the hot path behind `World` construction.
-    ///
-    /// Structure-of-arrays stepping: all Gilbert–Elliott chains are expanded
-    /// first (their draw sequences are lazy-exact and per-link), then every
-    /// link's shadowing track advances through the same loop over the
-    /// [`SHADOW_TICK`] grid with the per-link OU transition coefficients
-    /// hoisted out of the tick loop (one `exp` + `sqrt` per *track* instead
-    /// of per *tick*). Each link draws from its own independent
-    /// `"link-ge"` / `"link-shadow"` stream, so interleaving links inside
-    /// one tick preserves every per-link draw sequence: the result is
-    /// bit-identical to calling [`ChannelRealization::materialize`] per
-    /// link.
+    /// [`materialize`](Self::materialize) for every `(cfg, index)` link of
+    /// one world, in order. Each link draws only from its own streams, so
+    /// the order of the links never changes a realisation.
     pub fn materialize_batch(
         links: &[(&LinkConfig, u64)],
         seeds: &SeedFactory,
         horizon: SimTime,
     ) -> Vec<ChannelRealization> {
-        let ges: Vec<Vec<GeSegment>> = links
-            .iter()
-            .map(|(cfg, index)| {
-                GilbertElliott::new(cfg.ge, seeds.stream("link-ge", *index))
-                    .materialize_until(horizon)
-            })
-            .collect();
-
-        let ticks = horizon.as_nanos() / SHADOW_TICK.as_nanos();
-        let mut ous: Vec<OrnsteinUhlenbeck> = links
-            .iter()
-            .map(|(cfg, index)| {
-                OrnsteinUhlenbeck::new(
-                    cfg.shadow_sigma_db,
-                    cfg.shadow_tau,
-                    seeds.stream("link-shadow", *index),
-                )
-            })
-            .collect();
-        let coeffs: Vec<(f64, f64)> =
-            ous.iter().map(|ou| ou.transition_coeffs(SHADOW_TICK.as_secs_f64())).collect();
-        let mut tracks: Vec<Vec<f64>> = ous
-            .iter_mut()
-            .map(|ou| {
-                let mut track = Vec::with_capacity(ticks as usize + 1);
-                track.push(ou.at(SimTime::ZERO));
-                track
-            })
-            .collect();
-        for _ in 1..=ticks {
-            for ((ou, &(a, noise_sd)), track) in
-                ous.iter_mut().zip(&coeffs).zip(tracks.iter_mut())
-            {
-                track.push(ou.step_grid(SHADOW_TICK, a, noise_sd));
-            }
-        }
-
-        ges.into_iter()
-            .zip(tracks)
-            .map(|(ge, shadow)| ChannelRealization { horizon, ge, shadow })
-            .collect()
+        links.iter().map(|&(cfg, index)| Self::materialize(cfg, seeds, index, horizon)).collect()
     }
 
     /// The materialisation horizon; queries past it freeze at the last value.
@@ -299,7 +258,8 @@ impl RealizationCache {
     }
 
     /// The realisation for `(cfg, seeds, index, horizon)`, materialising on
-    /// miss. Cached or fresh, the returned value is bit-identical to calling
+    /// miss: a one-link [`get_or_materialize_batch`](Self::get_or_materialize_batch).
+    /// Cached or fresh, the returned value is bit-identical to calling
     /// [`ChannelRealization::materialize`] directly.
     pub fn get_or_materialize(
         &self,
@@ -308,47 +268,17 @@ impl RealizationCache {
         index: u64,
         horizon: SimTime,
     ) -> Arc<ChannelRealization> {
-        let key = RealizationKey::new(cfg, seeds, index, horizon);
-        {
-            let mut inner = self.inner.lock().expect("realization cache poisoned");
-            inner.clock += 1;
-            let clock = inner.clock;
-            let hit = inner.map.get_mut(&key).map(|e| {
-                e.last_used = clock;
-                Arc::clone(&e.real)
-            });
-            if let Some(real) = hit {
-                inner.hits += 1;
-                return real;
-            }
-            inner.misses += 1;
-        }
-
-        let real = Arc::new(ChannelRealization::materialize(cfg, seeds, index, horizon));
-
-        let mut inner = self.inner.lock().expect("realization cache poisoned");
-        inner.clock += 1;
-        let clock = inner.clock;
-        if inner.map.len() >= inner.capacity && !inner.map.contains_key(&key) {
-            let evict = inner.map.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| *k);
-            if let Some(k) = evict {
-                inner.map.remove(&k);
-            }
-        }
-        let entry = inner.map.entry(key).or_insert(Entry { last_used: clock, real });
-        entry.last_used = clock;
-        Arc::clone(&entry.real)
+        let mut one = self.get_or_materialize_batch(&[(cfg, index)], seeds, horizon);
+        one.pop().expect("one link in, one realisation out")
     }
 
     /// The realisations for every `(cfg, index)` pair of one world, looked
     /// up in one pass: hits are served from the cache, and all misses are
-    /// materialised together through the batched SoA stepper
-    /// ([`ChannelRealization::materialize_batch`]) outside the lock.
+    /// materialised outside the lock, then inserted (evicting the least
+    /// recently used entry when full).
     ///
-    /// Hit/miss accounting is per entry, exactly as if
-    /// [`get_or_materialize`](Self::get_or_materialize) had been called
-    /// once per pair, and the returned values are bit-identical to the
-    /// singular path.
+    /// Hit/miss accounting is per entry, and the returned values are
+    /// bit-identical to [`ChannelRealization::materialize`].
     pub fn get_or_materialize_batch(
         &self,
         links: &[(&LinkConfig, u64)],
@@ -382,8 +312,13 @@ impl RealizationCache {
         }
 
         if !missing.is_empty() {
-            let batch: Vec<(&LinkConfig, u64)> = missing.iter().map(|&s| links[s]).collect();
-            let built = ChannelRealization::materialize_batch(&batch, seeds, horizon);
+            let built: Vec<ChannelRealization> = missing
+                .iter()
+                .map(|&slot| {
+                    let (cfg, index) = links[slot];
+                    ChannelRealization::materialize(cfg, seeds, index, horizon)
+                })
+                .collect();
 
             let mut inner = self.inner.lock().expect("realization cache poisoned");
             for (&slot, real) in missing.iter().zip(built) {
@@ -530,8 +465,8 @@ mod tests {
 
     #[test]
     fn batch_materialization_is_bit_identical_to_per_link() {
-        // Mixed configs, including a zero-sigma link, so the SoA loop is
-        // exercised with heterogeneous coefficients and draw counts.
+        // Mixed configs, including a zero-sigma link (which draws nothing),
+        // so the hoisted coefficients and draw counts differ per link.
         let a = LinkConfig::office(Channel::CH1, 8.0);
         let b = LinkConfig::office(Channel::CH6, 31.0);
         let mut c = LinkConfig::office(Channel::CH11, 15.0);
@@ -541,10 +476,22 @@ mod tests {
         let batch = ChannelRealization::materialize_batch(&links, &seeds(), horizon);
         assert_eq!(batch.len(), links.len());
         for ((cfg, index), got) in links.iter().zip(&batch) {
-            let want = ChannelRealization::materialize(cfg, &seeds(), *index, horizon);
-            assert_eq!(want.ge_segments(), got.ge_segments(), "GE diverged for index {index}");
+            // Reference: the per-link walk with the exact transition
+            // evaluated at every grid point.
+            let ge = GilbertElliott::new(cfg.ge, seeds().stream("link-ge", *index))
+                .materialize_until(horizon);
+            let mut ou = OrnsteinUhlenbeck::new(
+                cfg.shadow_sigma_db,
+                cfg.shadow_tau,
+                seeds().stream("link-shadow", *index),
+            );
+            let ticks = horizon.as_nanos() / SHADOW_TICK.as_nanos();
+            let want: Vec<u64> = (0..=ticks)
+                .map(|k| ou.at(SimTime::from_nanos(k * SHADOW_TICK.as_nanos())).to_bits())
+                .collect();
+            assert_eq!(ge, got.ge_segments(), "GE diverged for index {index}");
             assert_eq!(
-                want.shadow.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                want,
                 got.shadow.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 "shadow track diverged for index {index}"
             );

@@ -182,10 +182,15 @@ fn metrics_snapshot_has_the_paper_histograms_and_gauges() {
     }
     // TCP coexistence metrics rode along.
     assert!(merged.metrics.get(ComponentId::tcp(), "transmissions").is_some());
-    // The event loop profiled itself.
+    // The event loop profiled itself, and each world's finalize (ledger
+    // audit, metrics export, report) is attributed to `metrics_reduce`.
     assert!(
         merged.profile.get(diversifi_simcore::telemetry::Phase::Dispatch).calls > 0,
         "dispatch spans recorded"
+    );
+    assert!(
+        merged.profile.get(diversifi_simcore::telemetry::Phase::MetricsReduce).calls > 0,
+        "metrics_reduce spans recorded"
     );
 }
 
